@@ -74,7 +74,7 @@ BM_StrideObserve(benchmark::State &state)
     StridePrefetcher pf(256, 2, 2);
     Addr a = 0x10000000;
     for (auto _ : state) {
-        auto v = pf.observeMiss(0x400, a);
+        const auto &v = pf.observeMiss(0x400, a);
         benchmark::DoNotOptimize(v);
         a += 64;
     }
@@ -88,7 +88,7 @@ BM_MarkovObserve(benchmark::State &state)
     MarkovPrefetcher pf(512 * 1024, 16, 4);
     Rng rng(3);
     for (auto _ : state) {
-        auto v = pf.observeMiss(0, (rng.next32() & 0xffffff) & ~63u);
+        const auto &v = pf.observeMiss(0, (rng.next32() & 0xffffff) & ~63u);
         benchmark::DoNotOptimize(v);
     }
     state.SetItemsProcessed(state.iterations());

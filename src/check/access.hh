@@ -14,10 +14,10 @@
 #ifndef CDP_CHECK_ACCESS_HH
 #define CDP_CHECK_ACCESS_HH
 
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
+#include "common/addr_table.hh"
+#include "common/ring.hh"
 #include "memsys/cache.hh"
 #include "memsys/mshr.hh"
 #include "memsys/queued_arbiter.hh"
@@ -45,25 +45,23 @@ struct Access
     }
 
     // --- MshrFile ---------------------------------------------------
-    static const std::unordered_map<Addr, MshrEntry> &
-    entries(const MshrFile &m)
+    static const AddrTable<MshrEntry> &entries(const MshrFile &m)
     {
         return m.entries;
     }
-    static std::unordered_map<Addr, MshrEntry> &entries(MshrFile &m)
+    static AddrTable<MshrEntry> &entries(MshrFile &m) { return m.entries; }
+    static std::size_t capacity(const MshrFile &m)
     {
-        return m.entries;
+        return m.entries.capacity();
     }
-    static unsigned capacity(const MshrFile &m) { return m.capacity; }
 
     // --- QueuedArbiter ----------------------------------------------
-    static const std::deque<MemRequest> &
-    classQueue(const QueuedArbiter &a, unsigned prio)
+    static const Ring<MemRequest> &classQueue(const QueuedArbiter &a,
+                                              unsigned prio)
     {
         return a.queues[prio];
     }
-    static std::deque<MemRequest> &classQueue(QueuedArbiter &a,
-                                              unsigned prio)
+    static Ring<MemRequest> &classQueue(QueuedArbiter &a, unsigned prio)
     {
         return a.queues[prio];
     }

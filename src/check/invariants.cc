@@ -104,8 +104,10 @@ auditCache(const Cache &c, unsigned max_depth,
 std::vector<std::pair<Addr, MshrEntry>>
 sortedMshrEntries(const MshrFile &m)
 {
-    const auto &raw = Access::entries(m);
-    std::vector<std::pair<Addr, MshrEntry>> snap(raw.begin(), raw.end());
+    std::vector<std::pair<Addr, MshrEntry>> snap;
+    snap.reserve(m.size());
+    for (const auto &slot : Access::entries(m))
+        snap.emplace_back(slot.key, slot.value);
     std::sort(snap.begin(), snap.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
@@ -154,9 +156,8 @@ std::size_t
 prefetchEntryCount(const MshrFile &m)
 {
     std::size_t n = 0;
-    for (const auto &[key, e] : Access::entries(m)) {
-        (void)key;
-        if (isPrefetch(e.type) || e.promoted)
+    for (const auto &slot : Access::entries(m)) {
+        if (isPrefetch(slot.value.type) || slot.value.promoted)
             ++n;
     }
     return n;

@@ -1,6 +1,7 @@
 #include "core/content_prefetcher.hh"
 
-#include <unordered_set>
+#include <algorithm>
+#include <stdexcept>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -33,11 +34,30 @@ ContentPrefetcher::ContentPrefetcher(const CdpConfig &cfg,
                       name + ".depth_suppressed",
                       "fills not scanned: depth at threshold")
 {
+    fitBuffer(cfg);
+}
+
+void
+ContentPrefetcher::fitBuffer(const CdpConfig &c)
+{
+    const auto bound = [](unsigned lines, const char *key) {
+        if (lines > maxWidthLines)
+            throw std::invalid_argument(
+                std::string(key) + " must be <= " +
+                std::to_string(maxWidthLines) + ", got " +
+                std::to_string(lines));
+    };
+    bound(c.nextLines, "cdp.next_lines");
+    bound(c.prevLines, "cdp.prev_lines");
+    // Every word of the line may be a candidate, each bringing its
+    // width companions.
+    emitted.reserve(maxScanWords * (1 + c.prevLines + c.nextLines));
 }
 
 void
 ContentPrefetcher::reconfigure(const CdpConfig &new_cfg)
 {
+    fitBuffer(new_cfg);
     cfg = new_cfg;
     predictor = Vam(cfg.vam);
 }
@@ -52,11 +72,12 @@ ContentPrefetcher::shouldRescan(unsigned req_depth,
            stored_depth - req_depth >= cfg.reinforceMinDelta;
 }
 
-std::vector<CdpCandidate>
+const std::vector<CdpCandidate> &
 ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
                             unsigned fill_depth, bool is_rescan)
 {
-    std::vector<CdpCandidate> out;
+    std::vector<CdpCandidate> &out = emitted;
+    out.clear();
     if (!cfg.enabled)
         return out;
     if (!scansAtDepth(fill_depth)) {
@@ -71,14 +92,23 @@ ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
     const Addr trigger_line = lineAlign(trigger_ea);
     const unsigned child_depth = fill_depth + 1;
     const bool emit_width = !is_rescan || cfg.widthOnRescan;
-    std::unordered_set<Addr> seen;
-    seen.insert(trigger_line); // never re-request the line in hand
+    // Lines already requested by this scan: the line in hand plus
+    // everything emitted so far. At the default widths a scan emits a
+    // handful of lines, so a linear search of the buffer beats any
+    // hash set.
+    const auto fresh = [&](Addr l) {
+        return l != trigger_line &&
+               std::none_of(out.begin(), out.end(),
+                            [l](const CdpCandidate &c) {
+                                return c.lineVa == l;
+                            });
+    };
 
     unsigned hop = 0; // provenance hop index, scan-emission order
     for (Addr target : predictor.scanLine(line, trigger_ea)) {
         ++candidates;
         const Addr target_line = lineAlign(target);
-        if (seen.insert(target_line).second) {
+        if (fresh(target_line)) {
             out.push_back({target, target_line, child_depth, false,
                            hop++});
         }
@@ -86,14 +116,14 @@ ContentPrefetcher::scanFill(const std::uint8_t *line, Addr trigger_ea,
             continue;
         for (unsigned p = 1; p <= cfg.prevLines; ++p) {
             const Addr l = target_line - p * lineBytes;
-            if (l < target_line && seen.insert(l).second) {
+            if (l < target_line && fresh(l)) {
                 out.push_back({target, l, child_depth, true, hop++});
                 ++widthLines;
             }
         }
         for (unsigned n = 1; n <= cfg.nextLines; ++n) {
             const Addr l = target_line + n * lineBytes;
-            if (l > target_line && seen.insert(l).second) {
+            if (l > target_line && fresh(l)) {
                 out.push_back({target, l, child_depth, true, hop++});
                 ++widthLines;
             }

@@ -47,6 +47,13 @@ class Writer;
 class Reader;
 } // namespace snap
 
+/**
+ * Upper bound on CdpConfig::nextLines and prevLines (each). It bounds
+ * the candidate buffer of one scan, and a full 64-line page of width
+ * already dwarfs any useful node span.
+ */
+constexpr unsigned maxWidthLines = 63;
+
 /** Configuration of the content prefetcher. */
 struct CdpConfig
 {
@@ -54,9 +61,9 @@ struct CdpConfig
     VamConfig vam{};
     /** Prefetch chains stop when request depth reaches this. */
     unsigned depthThreshold = 3;
-    /** Lines fetched after each candidate ("wider"). */
+    /** Lines fetched after each candidate ("wider"); <= maxWidthLines. */
     unsigned nextLines = 3;
-    /** Lines fetched before each candidate. */
+    /** Lines fetched before each candidate; <= maxWidthLines. */
     unsigned prevLines = 0;
     /** Enable path reinforcement (depth tags in the UL2). */
     bool reinforce = true;
@@ -134,6 +141,10 @@ class ContentPrefetcher
     /**
      * Scan a fill and emit candidate prefetches.
      *
+     * The result is a view of a buffer this prefetcher reuses, sized
+     * at construction (and reconfigure) to the most one scan can
+     * emit; it is valid until the next scanFill or reconfigure.
+     *
      * @param line the lineBytes bytes of fill data
      * @param trigger_ea virtual effective address of the triggering
      *        request (demand EA, or the candidate address for a
@@ -142,10 +153,10 @@ class ContentPrefetcher
      * @param is_rescan true when driven by path reinforcement
      * @return prefetches to issue, duplicates within the scan removed
      */
-    std::vector<CdpCandidate> scanFill(const std::uint8_t *line,
-                                       Addr trigger_ea,
-                                       unsigned fill_depth,
-                                       bool is_rescan = false);
+    const std::vector<CdpCandidate> &scanFill(const std::uint8_t *line,
+                                              Addr trigger_ea,
+                                              unsigned fill_depth,
+                                              bool is_rescan = false);
 
     /**
      * Reinforcement predicate: should a hit with @p req_depth on a
@@ -165,6 +176,8 @@ class ContentPrefetcher
     /**
      * Swap in a new configuration at runtime (used by the adaptive
      * controller). The predictor is rebuilt; counters are preserved.
+     * Throws std::invalid_argument, naming the config key, when a
+     * width exceeds maxWidthLines.
      */
     void reconfigure(const CdpConfig &new_cfg);
 
@@ -189,9 +202,14 @@ class ContentPrefetcher
     void loadState(snap::Reader &r, bool apply_config);
 
   private:
+    /** Validate @p c's widths and size the candidate buffer for it. */
+    void fitBuffer(const CdpConfig &c);
+
     CdpConfig cfg;
     // cdplint: transient(predictor) -- the VAM is stateless by design (the paper's central claim); nothing to checkpoint
     Vam predictor;
+    // cdplint: transient(emitted) -- scratch buffer behind scanFill's result; carries nothing from one scan to the next
+    std::vector<CdpCandidate> emitted;
 
     // cdplint: transient(dummyGroup, scans, rescans, candidates, widthLines, depthSuppressed) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;

@@ -25,8 +25,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/fixed_vec.hh"
 #include "common/types.hh"
 
 namespace cdp
@@ -69,6 +69,12 @@ enum class VamSimdLevel
     Avx2,   //!< 8-lane kernel (runtime-detected)
 };
 
+/** Most words one line scan can examine (a 1-byte scan step). */
+constexpr unsigned maxScanWords = lineBytes - wordBytes + 1;
+
+/** The candidate pointer values of one line scan, in scan order. */
+using VamHits = FixedVec<Addr, maxScanWords>;
+
 /**
  * The VAM predictor. Stateless by construction — the entire paper's
  * premise — so the class holds only its configuration.
@@ -93,17 +99,17 @@ class Vam
      * @param trigger_ea virtual effective address of the request that
      *        caused the fill
      * @return the candidate pointer values found, in scan order
+     *         (held inline, so a scan never allocates)
      */
-    std::vector<Addr> scanLine(const std::uint8_t *line,
-                               Addr trigger_ea) const;
+    VamHits scanLine(const std::uint8_t *line, Addr trigger_ea) const;
 
     /**
      * The portable reference implementation of scanLine (the scalar
      * word loop). Public so the SIMD differential property tests can
      * compare every dispatch level against it.
      */
-    std::vector<Addr> scanLineScalar(const std::uint8_t *line,
-                                     Addr trigger_ea) const;
+    VamHits scanLineScalar(const std::uint8_t *line,
+                           Addr trigger_ea) const;
 
     /**
      * Highest dispatch level this build + host supports: Scalar when

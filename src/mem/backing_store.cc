@@ -2,48 +2,41 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
 {
 
-BackingStore::Frame &
+BackingStore::BackingStore()
+    : dir(std::size_t{1} << (32 - pageShift - leafBits), 0)
+{
+}
+
+std::uint8_t *
 BackingStore::frameFor(Addr pa)
 {
     const Addr page = pageNumber(pa);
-    if (page == lastPage)
-        return *lastFrame;
-    auto &slot = frames[page];
-    if (!slot) {
-        slot = std::make_unique<Frame>();
-        slot->fill(0);
+    if (std::uint8_t *host = lookup(page))
+        return host;
+    std::uint32_t &leaf = dir[page >> leafBits];
+    if (leaf == 0) {
+        leaves.emplace_back();
+        leaves.back().fill(0);
+        leaf = static_cast<std::uint32_t>(leaves.size());
     }
-    lastPage = page;
-    lastFrame = slot.get();
-    return *slot;
-}
-
-const BackingStore::Frame *
-BackingStore::frameForRead(Addr pa) const
-{
-    const Addr page = pageNumber(pa);
-    if (page == lastPage)
-        return lastFrame;
-    auto it = frames.find(page);
-    if (it == frames.end())
-        return nullptr;
-    lastPage = page;
-    lastFrame = it->second.get();
-    return it->second.get();
+    pool.push_back(std::make_unique<Frame>());
+    pool.back()->fill(0);
+    leaves[leaf - 1][page & (leafPages - 1)] =
+        static_cast<std::uint32_t>(pool.size());
+    return pool.back()->data();
 }
 
 std::uint8_t
 BackingStore::read8(Addr pa) const
 {
-    const Frame *f = frameForRead(pa);
-    return f ? (*f)[pageOffset(pa)] : 0;
+    const std::uint8_t *f = lookup(pageNumber(pa));
+    return f ? f[pageOffset(pa)] : 0;
 }
 
 void
@@ -57,11 +50,11 @@ BackingStore::read32(Addr pa) const
 {
     // Fast path: word fully inside one frame.
     if (pageOffset(pa) <= pageBytes - 4) {
-        const Frame *f = frameForRead(pa);
+        const std::uint8_t *f = lookup(pageNumber(pa));
         if (!f)
             return 0;
         std::uint32_t v;
-        std::memcpy(&v, f->data() + pageOffset(pa), 4);
+        std::memcpy(&v, f + pageOffset(pa), 4);
         return v; // host is little-endian; simulated ISA is too
     }
     std::uint32_t v = 0;
@@ -74,7 +67,7 @@ void
 BackingStore::write32(Addr pa, std::uint32_t v)
 {
     if (pageOffset(pa) <= pageBytes - 4) {
-        std::memcpy(frameFor(pa).data() + pageOffset(pa), &v, 4);
+        std::memcpy(frameFor(pa) + pageOffset(pa), &v, 4);
         return;
     }
     for (unsigned i = 0; i < 4; ++i)
@@ -85,9 +78,9 @@ void
 BackingStore::readLine(Addr pa, std::uint8_t *out) const
 {
     const Addr base = lineAlign(pa);
-    const Frame *f = frameForRead(base);
+    const std::uint8_t *f = lookup(pageNumber(base));
     if (f) {
-        std::memcpy(out, f->data() + pageOffset(base), lineBytes);
+        std::memcpy(out, f + pageOffset(base), lineBytes);
     } else {
         std::memset(out, 0, lineBytes);
     }
@@ -103,18 +96,19 @@ BackingStore::write(Addr pa, const std::uint8_t *src, Addr len)
 void
 BackingStore::saveState(snap::Writer &w) const
 {
-    // Key-sorted iteration: the map is hash-ordered, the checkpoint
-    // must be byte-deterministic.
-    std::vector<Addr> pages;
-    pages.reserve(frames.size());
-    for (const auto &kv : frames)
-        pages.push_back(kv.first);
-    std::sort(pages.begin(), pages.end());
-
-    w.u64(pages.size());
-    for (const Addr page : pages) {
-        w.u32(page);
-        w.bytes(frames.at(page)->data(), pageBytes);
+    // Walking the table in index order yields ascending page numbers,
+    // so the checkpoint is a pure function of the frames' contents.
+    w.u64(pool.size());
+    for (Addr d = 0; d < dir.size(); ++d) {
+        if (dir[d] == 0)
+            continue;
+        const Leaf &leaf = leaves[dir[d] - 1];
+        for (Addr i = 0; i < leafPages; ++i) {
+            if (leaf[i] == 0)
+                continue;
+            w.u32((d << leafBits) | i);
+            w.bytes(pool[leaf[i] - 1]->data(), pageBytes);
+        }
     }
 }
 
@@ -122,19 +116,18 @@ void
 BackingStore::loadState(snap::Reader &r)
 {
     const std::uint64_t n = r.u64();
-    frames.clear();
-    lastPage = ~Addr{0};
-    lastFrame = nullptr;
-    frames.reserve(n);
+    pool.clear();
+    std::fill(dir.begin(), dir.end(), 0);
+    leaves.clear();
     Addr prev = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr page = r.u32();
         if (i > 0 && page <= prev)
             r.fail("backing-store page numbers not strictly increasing");
+        if (page > pageNumber(~Addr{0}))
+            r.fail("backing-store page number out of range");
         prev = page;
-        auto frame = std::make_unique<Frame>();
-        r.bytes(frame->data(), pageBytes);
-        frames[page] = std::move(frame);
+        r.bytes(frameFor(page << pageShift), pageBytes);
     }
 }
 

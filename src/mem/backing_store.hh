@@ -8,6 +8,12 @@
  * its successor, little-endian, exactly where the struct layout puts
  * it. BackingStore provides that byte-addressable physical memory,
  * allocated lazily in 4-KByte frames.
+ *
+ * Frames are found through a direct-indexed two-level table over the
+ * 20-bit page number: a directory of leaf indices, and compact leaves
+ * of frame-pool indices (4 bytes per page, 0 = never materialized).
+ * A lookup is three dependent loads, no hashing, and leaves are only
+ * allocated for the 64-page groups that hold a frame.
  */
 
 #ifndef CDP_MEM_BACKING_STORE_HH
@@ -16,7 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -61,8 +67,10 @@ class BackingStore
     /** Write @p len bytes from @p src starting at @p pa. */
     void write(Addr pa, const std::uint8_t *src, Addr len);
 
+    BackingStore();
+
     /** Number of frames that have been materialized. */
-    std::size_t framesTouched() const { return frames.size(); }
+    std::size_t framesTouched() const { return pool.size(); }
 
     /**
      * Host pointer to the base of the frame holding @p pa,
@@ -70,7 +78,7 @@ class BackingStore
      * except by loadState(), so the pointer stays valid until then —
      * callers memoizing it must reset on restore.
      */
-    std::uint8_t *pageData(Addr pa) { return frameFor(pa).data(); }
+    std::uint8_t *pageData(Addr pa) { return frameFor(pa); }
 
     /**
      * Host pointer to the frame holding @p pa, or nullptr if it was
@@ -79,15 +87,7 @@ class BackingStore
      */
     std::uint8_t *pageDataIfPresent(Addr pa)
     {
-        const Addr page = pageNumber(pa);
-        if (page == lastPage)
-            return lastFrame->data();
-        auto it = frames.find(page);
-        if (it == frames.end())
-            return nullptr;
-        lastPage = page;
-        lastFrame = it->second.get();
-        return lastFrame->data();
+        return lookup(pageNumber(pa));
     }
 
     /** Serialize every materialized frame in page-number order. */
@@ -99,23 +99,31 @@ class BackingStore
   private:
     using Frame = std::array<std::uint8_t, pageBytes>;
 
-    /** Get the frame holding @p pa, creating it zero-filled. */
-    Frame &frameFor(Addr pa);
+    /** log2 of the pages one leaf covers. */
+    static constexpr unsigned leafBits = 6;
+    static constexpr Addr leafPages = Addr{1} << leafBits;
+    /** Pool index + 1 of each page's frame; 0 = not materialized. */
+    using Leaf = std::array<std::uint32_t, leafPages>;
 
-    /** Get the frame holding @p pa, or nullptr if never written. */
-    const Frame *frameForRead(Addr pa) const;
+    /** Host bytes of page number @p page, or nullptr if absent. */
+    std::uint8_t *lookup(Addr page) const
+    {
+        const std::uint32_t leaf = dir[page >> leafBits];
+        if (leaf == 0)
+            return nullptr;
+        const std::uint32_t slot =
+            leaves[leaf - 1][page & (leafPages - 1)];
+        return slot == 0 ? nullptr : pool[slot - 1]->data();
+    }
 
-    std::unordered_map<Addr, std::unique_ptr<Frame>> frames;
+    /** Host bytes of the frame holding @p pa, creating it zeroed. */
+    std::uint8_t *frameFor(Addr pa);
 
-    // cdplint: transient(lastPage, lastFrame) -- pure lookup memo over the frame map; frame storage is stable (unique_ptr) and loadState resets it
-    /**
-     * One-entry frame-lookup memo (reads and writes). Only
-     * *materialized* frames are cached, so a hit is always valid:
-     * frames are never deallocated except by loadState(), which
-     * resets the memo.
-     */
-    mutable Addr lastPage = ~Addr{0};
-    mutable Frame *lastFrame = nullptr;
+    /** Leaf index + 1 per 64-page group of the 32-bit space. */
+    std::vector<std::uint32_t> dir;
+    std::vector<Leaf> leaves;
+    /** Materialized frames, in materialization order. */
+    std::vector<std::unique_ptr<Frame>> pool;
 };
 
 } // namespace cdp

@@ -7,7 +7,7 @@ namespace cdp
 
 MshrFile::MshrFile(unsigned capacity, StatGroup *stats,
                    const std::string &name)
-    : capacity(capacity),
+    : entries(capacity),
       allocations(stats ? *stats : dummyGroup, name + ".allocations",
                   "MSHR entries allocated"),
       promotions(stats ? *stats : dummyGroup, name + ".promotions",
@@ -20,15 +20,13 @@ MshrFile::MshrFile(unsigned capacity, StatGroup *stats,
 MshrEntry *
 MshrFile::find(Addr line_pa)
 {
-    auto it = entries.find(lineAlign(line_pa));
-    return it == entries.end() ? nullptr : &it->second;
+    return entries.find(lineAlign(line_pa));
 }
 
 const MshrEntry *
 MshrFile::find(Addr line_pa) const
 {
-    auto it = entries.find(lineAlign(line_pa));
-    return it == entries.end() ? nullptr : &it->second;
+    return entries.find(lineAlign(line_pa));
 }
 
 bool
@@ -36,16 +34,15 @@ MshrFile::allocate(const MshrEntry &e)
 {
     CDP_CHECK(e.linePa == lineAlign(e.linePa));
     CDP_CHECK(!(e.promoted && isPrefetch(e.type)));
-    if (entries.size() >= capacity) {
+    if (full()) {
         ++rejections;
         return false;
     }
     // Callers must merge with (or drop against) an existing in-flight
     // fill before allocating; silently overwriting one would leak its
     // lifecycle (the pending fill event would complete a different
-    // transaction than the one that scheduled it).
-    CDP_CHECK(entries.find(lineAlign(e.linePa)) == entries.end());
-    entries[lineAlign(e.linePa)] = e;
+    // transaction than the one that scheduled it). insert() checks it.
+    entries.insert(e.linePa, e);
     ++allocations;
     return true;
 }
@@ -53,11 +50,11 @@ MshrFile::allocate(const MshrEntry &e)
 void
 MshrFile::release(Addr line_pa)
 {
-    [[maybe_unused]] const auto erased =
+    [[maybe_unused]] const bool erased =
         entries.erase(lineAlign(line_pa));
     // Releasing a non-resident entry means the caller's lifecycle
     // bookkeeping (issued -> in-flight -> filled) double-retired.
-    CDP_CHECK(erased == 1);
+    CDP_CHECK(erased);
 }
 
 bool

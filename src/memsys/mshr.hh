@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "common/addr_table.hh"
 #include "common/types.hh"
 #include "memsys/request.hh"
 #include "stats/stat.hh"
@@ -65,7 +65,8 @@ struct MshrEntry
 
 /**
  * Fixed-capacity table of in-flight fills, keyed by physical line
- * address.
+ * address. Backed by an AddrTable sized at construction, so the
+ * per-miss allocate/find/release path never touches the heap.
  */
 class MshrFile
 {
@@ -73,7 +74,7 @@ class MshrFile
     explicit MshrFile(unsigned capacity, StatGroup *stats = nullptr,
                       const std::string &name = "mshr");
 
-    bool full() const { return entries.size() >= capacity; }
+    bool full() const { return entries.size() >= entries.capacity(); }
     std::size_t size() const { return entries.size(); }
 
     /** Find the in-flight fill for @p line_pa, if any. */
@@ -104,8 +105,7 @@ class MshrFile
   private:
     friend struct check::Access;
 
-    unsigned capacity;
-    std::unordered_map<Addr, MshrEntry> entries;
+    AddrTable<MshrEntry> entries;
 
     StatGroup dummyGroup;
     Scalar allocations;

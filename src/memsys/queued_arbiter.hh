@@ -19,11 +19,11 @@
 #define CDP_MEMSYS_QUEUED_ARBITER_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
+#include "common/addr_table.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "memsys/request.hh"
 #include "stats/stat.hh"
@@ -48,7 +48,9 @@ enum class EnqueueResult
 };
 
 /**
- * Priority-ordered bounded queue of MemRequests.
+ * Priority-ordered bounded queue of MemRequests. Every class queue is
+ * a ring sized to the arbiter capacity (any one class may hold all of
+ * it), so enqueue, dequeue and displacement never allocate.
  */
 class QueuedArbiter
 {
@@ -121,18 +123,25 @@ class QueuedArbiter
     /** Drop the lowest-priority resident prefetch; false if none. */
     bool dropLowestPrefetch();
 
-    void noteResident(Addr line_va) { ++residentLines[line_va]; }
+    void noteResident(Addr line_va)
+    {
+        if (unsigned *n = residentLines.find(line_va))
+            ++*n;
+        else
+            residentLines.insert(line_va, 1);
+    }
     void noteRemoved(Addr line_va)
     {
-        const auto it = residentLines.find(line_va);
-        if (--it->second == 0)
-            residentLines.erase(it);
+        unsigned *n = residentLines.find(line_va);
+        CDP_CHECK(n != nullptr);
+        if (--*n == 0)
+            residentLines.erase(line_va);
     }
 
     // cdplint: transient(capacity) -- construction-time geometry; checkpoints are taken at quiesce points
     unsigned capacity;
     // cdplint: transient(queues) -- saveState throws unless the arbiter is empty, so there is never queue content to serialize
-    std::deque<MemRequest> queues[numPriorities];
+    Ring<MemRequest> queues[numPriorities];
     /**
      * Membership index over the queues (line VA -> resident count),
      * so contains() — called once per would-be prefetch — is O(1)
@@ -140,7 +149,7 @@ class QueuedArbiter
      * membership is ever queried, never iteration order.
      */
     // cdplint: transient(residentLines) -- derived index over queues; empty whenever the (quiesced) arbiter is checkpointable
-    std::unordered_map<Addr, unsigned> residentLines;
+    AddrTable<unsigned> residentLines;
     std::size_t total = 0;
 
     /**

@@ -33,6 +33,7 @@ MarkovPrefetcher::MarkovPrefetcher(std::uint64_t capacity_bytes,
       trained(stats ? *stats : dummyGroup, name + ".trained",
               "STAB transitions recorded")
 {
+    reservePredictions(fanout, "markov.fanout");
     if (capacity_bytes == 0) {
         entryCapacity = 0;
     } else {
@@ -104,12 +105,13 @@ MarkovPrefetcher::train(Addr prev, Addr line)
     ++trained;
 }
 
-std::vector<Addr>
+const std::vector<Addr> &
 MarkovPrefetcher::observeMiss(Addr /*pc*/, Addr vaddr)
 {
     ++observed;
     const Addr line = lineAlign(vaddr);
-    std::vector<Addr> out;
+    std::vector<Addr> &out = predictions;
+    out.clear();
 
     if (Entry *e = findEntry(line)) {
         e->lruStamp = ++stamp;

@@ -57,7 +57,7 @@ class MarkovPrefetcher : public Prefetcher
                      unsigned fanout = 4, StatGroup *stats = nullptr,
                      const std::string &name = "markov");
 
-    std::vector<Addr> observeMiss(Addr pc, Addr vaddr) override;
+    const std::vector<Addr> &observeMiss(Addr pc, Addr vaddr) override;
     const char *name() const override { return "markov"; }
 
     /** Entries the bounded STAB can hold (0 when unbounded). */

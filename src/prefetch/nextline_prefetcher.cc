@@ -16,70 +16,41 @@ NextLinePrefetcher::NextLinePrefetcher(unsigned degree, bool tagged,
       suppressed(stats ? *stats : dummyGroup, name + ".suppressed",
                  "predictions suppressed by the tag filter")
 {
+    reservePredictions(this->degree, "stride.degree");
 }
 
-std::vector<Addr>
+const std::vector<Addr> &
 NextLinePrefetcher::observeMiss(Addr /*pc*/, Addr vaddr)
 {
     ++observed;
-    std::vector<Addr> out;
+    std::vector<Addr> &out = predictions;
+    out.clear();
     const Addr base = lineAlign(vaddr);
     for (unsigned d = 1; d <= degree; ++d) {
         const Addr line = base + d * lineBytes;
         if (line < base)
             break; // wrapped past the top of the address space
-        if (tagged && recentSet.count(line)) {
+        if (tagged && recent.contains(line)) {
             ++suppressed;
             continue;
         }
         out.push_back(line);
-        rememberIssued(line);
+        recent.remember(line);
         ++issued;
     }
     return out;
 }
 
-bool
-NextLinePrefetcher::recentlyIssued(Addr line_va) const
-{
-    return recentSet.count(lineAlign(line_va)) != 0;
-}
-
-void
-NextLinePrefetcher::rememberIssued(Addr line_va)
-{
-    line_va = lineAlign(line_va);
-    if (recentSet.insert(line_va).second) {
-        recentFifo.push_back(line_va);
-        if (recentFifo.size() > recentCapacity) {
-            recentSet.erase(recentFifo.front());
-            recentFifo.pop_front();
-        }
-    }
-}
-
 void
 NextLinePrefetcher::saveState(snap::Writer &w) const
 {
-    w.u64(recentFifo.size());
-    for (const Addr a : recentFifo)
-        w.u32(a);
+    recent.saveState(w);
 }
 
 void
 NextLinePrefetcher::loadState(snap::Reader &r)
 {
-    const std::uint64_t n = r.u64();
-    if (n > recentCapacity)
-        r.fail("next-line recent-issue ring holds " + std::to_string(n) +
-               " entries, capacity is " + std::to_string(recentCapacity));
-    recentFifo.clear();
-    recentSet.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr a = r.u32();
-        recentFifo.push_back(a);
-        recentSet.insert(a);
-    }
+    recent.loadState(r, "next-line");
 }
 
 } // namespace cdp

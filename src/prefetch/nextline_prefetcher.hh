@@ -17,13 +17,12 @@
 #define CDP_PREFETCH_NEXTLINE_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
+#include "prefetch/recent_issue.hh"
 #include "stats/stat.hh"
 
 namespace cdp
@@ -50,11 +49,14 @@ class NextLinePrefetcher : public Prefetcher
                                 StatGroup *stats = nullptr,
                                 const std::string &name = "nextline");
 
-    std::vector<Addr> observeMiss(Addr pc, Addr vaddr) override;
+    const std::vector<Addr> &observeMiss(Addr pc, Addr vaddr) override;
     const char *name() const override { return "nextline"; }
 
     /** Was @p line_va recently predicted (for adjusted stats)? */
-    bool recentlyIssued(Addr line_va) const;
+    bool recentlyIssued(Addr line_va) const
+    {
+        return recent.contains(line_va);
+    }
 
     std::uint64_t issuedCount() const { return issued.value(); }
 
@@ -63,16 +65,11 @@ class NextLinePrefetcher : public Prefetcher
     void loadState(snap::Reader &r);
 
   private:
-    void rememberIssued(Addr line_va);
-
     // cdplint: transient(degree, tagged) -- construction-time policy knobs; the restoring side's own config governs
     unsigned degree;
     bool tagged;
 
-    static constexpr std::size_t recentCapacity = 4096;
-    std::deque<Addr> recentFifo;
-    // cdplint: transient(recentSet) -- index over recentFifo, rebuilt from it in loadState
-    std::unordered_set<Addr> recentSet;
+    RecentIssueRing recent;
 
     // cdplint: transient(dummyGroup, observed, issued, suppressed) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;

@@ -15,13 +15,15 @@ StridePrefetcher::StridePrefetcher(unsigned table_entries, unsigned degree,
       issued(stats ? *stats : dummyGroup, name + ".issued",
              "stride prefetches issued")
 {
+    reservePredictions(degree, "stride.degree");
 }
 
-std::vector<Addr>
+const std::vector<Addr> &
 StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
 {
     ++observed;
-    std::vector<Addr> out;
+    std::vector<Addr> &out = predictions;
+    out.clear();
     Entry &e = table[(pc >> 2) % table.size()];
 
     if (!e.valid || e.pcTag != pc) {
@@ -61,30 +63,11 @@ StridePrefetcher::observeMiss(Addr pc, Addr vaddr)
                 continue; // small stride staying in the same line
             prev_line = line;
             out.push_back(target);
-            rememberIssued(line);
+            recent.remember(line);
             ++issued;
         }
     }
     return out;
-}
-
-bool
-StridePrefetcher::recentlyIssued(Addr line_va) const
-{
-    return recentSet.count(lineAlign(line_va)) != 0;
-}
-
-void
-StridePrefetcher::rememberIssued(Addr line_va)
-{
-    line_va = lineAlign(line_va);
-    if (recentSet.insert(line_va).second) {
-        recentFifo.push_back(line_va);
-        if (recentFifo.size() > recentCapacity) {
-            recentSet.erase(recentFifo.front());
-            recentFifo.pop_front();
-        }
-    }
 }
 
 void
@@ -98,10 +81,7 @@ StridePrefetcher::saveState(snap::Writer &w) const
         w.u64(e.confidence);
         w.boolean(e.valid);
     }
-    // The FIFO is the source of truth; the set is rebuilt on load.
-    w.u64(recentFifo.size());
-    for (const Addr a : recentFifo)
-        w.u32(a);
+    recent.saveState(w);
 }
 
 void
@@ -115,17 +95,7 @@ StridePrefetcher::loadState(snap::Reader &r)
         e.confidence = static_cast<unsigned>(r.u64());
         e.valid = r.boolean();
     }
-    const std::uint64_t n = r.u64();
-    if (n > recentCapacity)
-        r.fail("stride recent-issue ring holds " + std::to_string(n) +
-               " entries, capacity is " + std::to_string(recentCapacity));
-    recentFifo.clear();
-    recentSet.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr a = r.u32();
-        recentFifo.push_back(a);
-        recentSet.insert(a);
-    }
+    recent.loadState(r, "stride");
 }
 
 } // namespace cdp

@@ -16,13 +16,12 @@
 #define CDP_PREFETCH_STRIDE_PREFETCHER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
+#include "prefetch/recent_issue.hh"
 #include "stats/stat.hh"
 
 namespace cdp
@@ -50,7 +49,7 @@ class StridePrefetcher : public Prefetcher
                      StatGroup *stats = nullptr,
                      const std::string &name = "stride");
 
-    std::vector<Addr> observeMiss(Addr pc, Addr vaddr) override;
+    const std::vector<Addr> &observeMiss(Addr pc, Addr vaddr) override;
     const char *name() const override { return "stride"; }
 
     /**
@@ -59,7 +58,10 @@ class StridePrefetcher : public Prefetcher
      * and accuracy (Figure 7: "subtracting the content prefetches
      * that would have also been issued by the stride prefetcher").
      */
-    bool recentlyIssued(Addr line_va) const;
+    bool recentlyIssued(Addr line_va) const
+    {
+        return recent.contains(line_va);
+    }
 
     std::uint64_t issuedCount() const { return issued.value(); }
 
@@ -79,18 +81,13 @@ class StridePrefetcher : public Prefetcher
         bool valid = false;
     };
 
-    void rememberIssued(Addr line_va);
-
     std::vector<Entry> table;
     // cdplint: transient(degree, confThreshold) -- construction-time policy knobs; the restoring side's own config governs
     unsigned degree;
     unsigned confThreshold;
 
-    /** Ring of recently issued line addresses (adjusted stats). */
-    static constexpr std::size_t recentCapacity = 4096;
-    std::deque<Addr> recentFifo;
-    // cdplint: transient(recentSet) -- index over recentFifo, rebuilt from it in loadState
-    std::unordered_set<Addr> recentSet;
+    /** Recently issued line addresses (adjusted stats). */
+    RecentIssueRing recent;
 
     // cdplint: transient(dummyGroup, observed, issued) -- Stats are observational, reset at warm-up end, and travel via the stats dump, not the checkpoint
     StatGroup dummyGroup;

@@ -18,7 +18,12 @@ EventWheel::place(Event e)
         slots[s].push_back(e);
         occupied[s >> 6] |= std::uint64_t{1} << (s & 63);
     } else {
-        overflow[e.when].push_back(e);
+        // After every event of the same or an earlier cycle: FIFO
+        // within a cycle, as seq only grows.
+        const auto at = std::upper_bound(
+            overflow.begin(), overflow.end(), e.when,
+            [](Cycle when, const Event &o) { return when < o.when; });
+        overflow.insert(at, e);
     }
 }
 
@@ -41,27 +46,27 @@ EventWheel::schedule(Cycle when, Addr payload)
 void
 EventWheel::recomputeMin()
 {
-    // The slot ring holds at most one cycle value per slot, so the
-    // earliest in-window deadline is the minimum over occupied slots
-    // — ring order does not matter for a minimum.
+    // Every in-window event lies in [base, base + slotCount) and its
+    // slot is its cycle mod slotCount, so walking the ring from base's
+    // slot visits in-window cycles in increasing order: the first
+    // occupied slot holds the earliest in-window deadline.
     Cycle best = ~Cycle{0};
     bool found = false;
-    for (std::size_t w = 0; w < bitmapWords; ++w) {
+    const std::size_t start = static_cast<std::size_t>(base & slotMask);
+    for (std::size_t k = 0; k <= bitmapWords && !found; ++k) {
+        const std::size_t w = ((start >> 6) + k) % bitmapWords;
         std::uint64_t bits = occupied[w];
-        while (bits) {
+        if (k == 0)
+            bits &= ~std::uint64_t{0} << (start & 63);
+        if (bits) {
             const unsigned b =
                 static_cast<unsigned>(__builtin_ctzll(bits));
-            bits &= bits - 1;
-            const Cycle c = slots[(w << 6) | b].front().when;
-            if (!found || c < best) {
-                best = c;
-                found = true;
-            }
+            best = slots[(w << 6) | b].front().when;
+            found = true;
         }
     }
-    if (!overflow.empty() &&
-        (!found || overflow.begin()->first < best)) {
-        best = overflow.begin()->first;
+    if (!overflow.empty() && (!found || overflow.front().when < best)) {
+        best = overflow.front().when;
         found = true;
     }
     minDue = best;
@@ -69,11 +74,10 @@ EventWheel::recomputeMin()
     // it is a valid base, and advancing it may bring overflow events
     // inside the horizon.
     base = best;
-    while (!overflow.empty() && inWindow(overflow.begin()->first)) {
-        auto node = overflow.extract(overflow.begin());
-        for (Event &e : node.mapped())
-            place(e);
-    }
+    auto in = overflow.begin();
+    while (in != overflow.end() && inWindow(in->when))
+        place(*in++);
+    overflow.erase(overflow.begin(), in);
 }
 
 std::optional<EventWheel::Event>
@@ -93,19 +97,15 @@ EventWheel::popDue(Cycle now)
     } else {
         // The minimum still sits in overflow: possible only when the
         // whole ring window between base and minDue is empty.
-        auto it = overflow.begin();
-        std::vector<Event> &q = it->second;
-        e = q.front();
-        q.erase(q.begin());
-        if (q.empty())
-            overflow.erase(it);
+        e = overflow.front();
+        overflow.erase(overflow.begin());
     }
     --count;
 
     if (count == 0)
         base = std::max(base, e.when);
     else if ((slots[s].empty() || slots[s].front().when != minDue) &&
-             (overflow.empty() || overflow.begin()->first != minDue))
+             (overflow.empty() || overflow.front().when != minDue))
         recomputeMin();
     return e;
 }
@@ -125,10 +125,7 @@ EventWheel::sorted() const
             out.insert(out.end(), slot.begin(), slot.end());
         }
     }
-    for (const auto &[when, q] : overflow) {
-        (void)when;
-        out.insert(out.end(), q.begin(), q.end());
-    }
+    out.insert(out.end(), overflow.begin(), overflow.end());
     std::sort(out.begin(), out.end(),
               [](const Event &a, const Event &b) {
                   return a.when != b.when ? a.when < b.when

@@ -7,9 +7,11 @@
  * that can answer "when is the next event due?" in O(1) — the hook
  * the idle-skipping simulation loop hangs off (DESIGN.md §12). It is
  * a classic single-level wheel: a power-of-two ring of slots covering
- * the near future, an ordered overflow map for events beyond the
+ * the near future, an ordered overflow list for events beyond the
  * horizon, and an occupancy bitmap so recomputing the earliest
- * deadline scans 64 slots per word instead of walking a heap.
+ * deadline scans 64 slots per word instead of walking a heap. Every
+ * container keeps its capacity once grown, so a warmed-up wheel
+ * schedules and pops without allocating.
  *
  * Determinism contract:
  *  - events at distinct cycles pop in cycle order;
@@ -31,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -109,7 +110,10 @@ class EventWheel
      */
     std::vector<std::vector<Event>> slots;
     std::array<std::uint64_t, bitmapWords> occupied{};
-    std::map<Cycle, std::vector<Event>> overflow;
+    /** Events beyond the horizon, sorted by (when, seq). It holds
+     *  at most the in-flight fills, so insertion by shifting is
+     *  cheap; it only ever grows to its high-water mark. */
+    std::vector<Event> overflow;
     Cycle base = 0;   //!< lower bound on every pending event
     Cycle minDue = 0; //!< earliest pending cycle (valid iff count > 0)
     std::size_t count = 0;

@@ -482,7 +482,7 @@ MemorySystem::scanAndEnqueue(Addr line_pa, Addr trigger_ea,
         return;
     std::uint8_t buf[lineBytes];
     backing.readLine(line_pa, buf);
-    const std::vector<CdpCandidate> cands =
+    const std::vector<CdpCandidate> &cands =
         cdp.scanFill(buf, trigger_ea, depth, is_rescan);
     if (trc.active())
         trc.record(obs::EventKind::Scan, now, line_pa, root, root,
@@ -564,7 +564,7 @@ MemorySystem::completeFill(Addr line_pa, Cycle when)
                    false, when);
 }
 
-std::vector<Addr>
+const std::vector<Addr> &
 MemorySystem::baselineObserve(Addr pc, Addr vaddr)
 {
     if (nextline)
@@ -681,8 +681,6 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
 
     // L2 miss: check in-flight transactions first.
     if (const MshrEntry *e = mshrs.find(line_pa)) {
-        const Cycle fresh =
-            std::max(t0, bus.freeCycle()) + bus.latencyCycles();
         const Cycle inflight_done = e->completion;
         if (isPrefetch(e->type)) {
             const bool is_cdp = e->type == ReqType::ContentPrefetch;
@@ -714,7 +712,6 @@ MemorySystem::load(Addr pc, Addr vaddr, Cycle now, bool /*pointer_load*/)
                            e->root, e->type, e->depth, e->hop,
                            static_cast<std::uint32_t>(demandId));
         }
-        (void)fresh;
         const Cycle done = std::max(inflight_done,
                                     t0 + cfg.mem.l2Latency);
         loadLatency.sample(static_cast<double>(cyclesSince(done, now)));

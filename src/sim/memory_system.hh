@@ -284,8 +284,9 @@ class MemorySystem : public CoreMemIf
     /** Inject one bad prefetch on an idle bus slot (Section 3.5). */
     void maybeInjectPollution(Cycle now);
 
-    /** Baseline prefetcher predictions for one observed miss. */
-    std::vector<Addr> baselineObserve(Addr pc, Addr vaddr);
+    /** Baseline prefetcher predictions for one observed miss (a view
+     *  of the prefetcher's reused buffer). */
+    const std::vector<Addr> &baselineObserve(Addr pc, Addr vaddr);
 
     /** Did the baseline prefetcher recently cover @p line_va? */
     bool baselineRecentlyIssued(Addr line_va) const;

@@ -29,14 +29,11 @@ PageTable::map(Addr va, Addr pa)
     if (!(old_pte & entryValid))
         ++_mappedPages;
     store.write32(pte_addr, pageAlign(pa) | entryValid);
-    lastVPage = ~Addr{0}; // the memo may now be stale
 }
 
 std::optional<Addr>
 PageTable::translate(Addr va) const
 {
-    if (pageAlign(va) == lastVPage)
-        return lastFrameBase | pageOffset(va);
     const std::uint32_t pde = store.read32(rootPa + dirIndex(va) * 4);
     if (!(pde & entryValid))
         return std::nullopt;
@@ -44,9 +41,7 @@ PageTable::translate(Addr va) const
         store.read32(pageAlign(pde) + tblIndex(va) * 4);
     if (!(pte & entryValid))
         return std::nullopt;
-    lastVPage = pageAlign(va);
-    lastFrameBase = pageAlign(pte);
-    return lastFrameBase | pageOffset(va);
+    return pageAlign(pte) | pageOffset(va);
 }
 
 WalkPath
@@ -62,6 +57,9 @@ PageTable::walkPath(Addr va) const
     }
     path.pteAddr = pageAlign(pde) + tblIndex(va) * 4;
     path.complete = true;
+    const std::uint32_t pte = store.read32(path.pteAddr);
+    if (pte & entryValid)
+        path.framePa = pageAlign(pte);
     return path;
 }
 
@@ -80,7 +78,6 @@ PageTable::loadState(snap::Reader &r)
     // differently from the checkpoint writer.
     r.expectU64(rootPa, "page-table root frame");
     _mappedPages = r.u64();
-    lastVPage = ~Addr{0}; // backing-store content was just replaced
 }
 
 } // namespace cdp

@@ -41,6 +41,8 @@ struct WalkPath
     Addr pdeAddr; //!< physical address of the page-directory entry
     Addr pteAddr; //!< physical address of the page-table entry (or 0)
     bool complete; //!< false when the PDE was invalid
+    /** Frame base the PTE maps; nullopt when either level is invalid. */
+    std::optional<Addr> framePa;
 };
 
 /**
@@ -99,17 +101,6 @@ class PageTable
     FrameAllocator &frameAlloc;
     Addr rootPa;
     std::uint64_t _mappedPages = 0;
-
-    // cdplint: transient(lastVPage, lastFrameBase) -- pure translation memo over the (invalidated-on-map) radix tree; rebuilt on demand, never architectural state
-    /**
-     * One-entry translate() memo: the functional (untimed) translate
-     * path is hammered by the workload generators, which walk their
-     * data structures through simulated memory. Holds only *positive*
-     * results; map() and loadState() invalidate it. Timed translation
-     * (TLB + walker) never goes through this.
-     */
-    mutable Addr lastVPage = ~Addr{0};
-    mutable Addr lastFrameBase = 0;
 };
 
 } // namespace cdp

@@ -20,20 +20,13 @@ PageWalker::walk(Addr va, Tlb &tlb)
     WalkResult res;
     const WalkPath path = table.walkPath(va);
     res.accesses.push_back(path.pdeAddr);
-    if (!path.complete) {
+    if (path.complete)
+        res.accesses.push_back(path.pteAddr);
+    res.framePa = path.framePa;
+    if (!res.framePa) {
         ++faults;
-        res.framePa = std::nullopt;
         return res;
     }
-    res.accesses.push_back(path.pteAddr);
-
-    const auto pa = table.translate(va);
-    if (!pa) {
-        ++faults;
-        res.framePa = std::nullopt;
-        return res;
-    }
-    res.framePa = pageAlign(*pa);
     tlb.insert(va, *res.framePa);
     return res;
 }

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/backing_store.hh"
+#include "snapshot/ckpt_io.hh"
 
 using namespace cdp;
 
@@ -93,6 +97,106 @@ TEST(BackingStore, FramesMaterializeLazily)
     EXPECT_EQ(m.framesTouched(), 1u);
     m.write8(0x10000, 3); // new frame
     EXPECT_EQ(m.framesTouched(), 2u);
+}
+
+TEST(BackingStore, TopPageOfTheAddressSpace)
+{
+    // Page 0xfffff sits in the last leaf of the frame table; a word
+    // in its last four bytes is the highest addressable word.
+    BackingStore m;
+    m.write32(0xfffffffc, 0xcafef00du);
+    EXPECT_EQ(m.read32(0xfffffffc), 0xcafef00du);
+    EXPECT_EQ(m.read8(0xffffffff), 0xcau);
+    EXPECT_EQ(m.framesTouched(), 1u);
+    std::uint8_t buf[lineBytes];
+    m.readLine(0xffffffc5, buf);
+    EXPECT_EQ(buf[lineBytes - 1], 0xcau);
+    EXPECT_EQ(m.read32(0xffffeffc), 0u); // the page below stays absent
+    EXPECT_EQ(m.pageDataIfPresent(0xffffe000), nullptr);
+}
+
+TEST(BackingStore, PageDataIfPresentDoesNotMaterialize)
+{
+    BackingStore m;
+    EXPECT_EQ(m.pageDataIfPresent(0x7000), nullptr);
+    EXPECT_EQ(m.framesTouched(), 0u);
+    // A neighbour in the same table leaf does not make it present.
+    m.write8(0x8000, 5);
+    EXPECT_EQ(m.pageDataIfPresent(0x7000), nullptr);
+    EXPECT_EQ(m.framesTouched(), 1u);
+    std::uint8_t *host = m.pageDataIfPresent(0x8123);
+    ASSERT_NE(host, nullptr);
+    EXPECT_EQ(host[0], 5u);
+    EXPECT_EQ(m.pageData(0x8fff), host); // stable, same frame
+    std::uint8_t *made = m.pageData(0x7000); // materializes
+    EXPECT_EQ(m.pageDataIfPresent(0x7abc), made);
+    EXPECT_EQ(m.framesTouched(), 2u);
+}
+
+TEST(BackingStore, FramesTouchedCountsDistinctPagesAcrossLeaves)
+{
+    BackingStore m;
+    // Pages spread over several 64-page leaves, each written twice.
+    const Addr pages[] = {0, 1, 63, 64, 4095, 0x12345, 0xfffff};
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const Addr p : pages)
+            m.write8((p << pageShift) + 7, static_cast<std::uint8_t>(p));
+    }
+    EXPECT_EQ(m.framesTouched(), std::size(pages));
+    for (const Addr p : pages)
+        EXPECT_EQ(m.read8((p << pageShift) + 7),
+                  static_cast<std::uint8_t>(p));
+}
+
+TEST(BackingStore, CheckpointLayoutIsCountThenAscendingPages)
+{
+    // The STOR payload is: u64 frame count, then for every frame in
+    // ascending page order its u32 page number and 4096 raw bytes.
+    // Frames written out of order must still serialize sorted.
+    BackingStore m;
+    const Addr pages[] = {0xfffff, 3, 0x400, 2, 0x3ff};
+    for (const Addr p : pages)
+        m.write32((p << pageShift) + 0x10, 0xa0000000u | p);
+
+    std::ostringstream got;
+    {
+        snap::Writer w(got);
+        w.beginSection("STOR");
+        m.saveState(w);
+        w.endSection();
+        w.finish();
+    }
+
+    std::vector<Addr> sorted(std::begin(pages), std::end(pages));
+    std::sort(sorted.begin(), sorted.end());
+    std::ostringstream want;
+    {
+        snap::Writer w(want);
+        w.beginSection("STOR");
+        w.u64(sorted.size());
+        for (const Addr p : sorted) {
+            std::uint8_t frame[pageBytes] = {};
+            const std::uint32_t v = 0xa0000000u | p;
+            std::memcpy(frame + 0x10, &v, 4);
+            w.u32(p);
+            w.bytes(frame, pageBytes);
+        }
+        w.endSection();
+        w.finish();
+    }
+    EXPECT_EQ(got.str(), want.str());
+
+    BackingStore back;
+    back.write8(0x5000, 1); // replaced wholesale by the restore
+    std::istringstream is(got.str());
+    snap::Reader r(is);
+    r.enterSection("STOR");
+    back.loadState(r);
+    r.leaveSection();
+    EXPECT_EQ(back.framesTouched(), std::size(pages));
+    EXPECT_EQ(back.pageDataIfPresent(0x5000), nullptr);
+    for (const Addr p : pages)
+        EXPECT_EQ(back.read32((p << pageShift) + 0x10), 0xa0000000u | p);
 }
 
 /** Property: random word writes read back exactly. */

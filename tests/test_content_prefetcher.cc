@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/content_prefetcher.hh"
 
@@ -255,4 +258,64 @@ TEST(ContentPfProperty, EmittedSetMatchesSpec)
         EXPECT_TRUE(got.insert(cand.lineVa).second)
             << "duplicate line emitted";
     EXPECT_EQ(got, expect);
+}
+
+TEST(ContentPf, WidthAboveBoundIsRejectedNamingTheKey)
+{
+    // Each width knob sizes the scan's candidate buffer; an unbounded
+    // one (cdp.next_lines=-1 wraps to 2^32-1) used to spin a scan for
+    // billions of iterations.
+    const auto message = [](const CdpConfig &c) -> std::string {
+        try {
+            ContentPrefetcher pf(c);
+        } catch (const std::invalid_argument &e) {
+            return e.what();
+        }
+        return "";
+    };
+    CdpConfig c = baseConfig();
+    c.nextLines = maxWidthLines + 1;
+    EXPECT_NE(message(c).find("cdp.next_lines"), std::string::npos);
+    c.nextLines = 0xffffffffu;
+    EXPECT_NE(message(c).find("cdp.next_lines"), std::string::npos);
+    c.nextLines = 0;
+    c.prevLines = 100000;
+    EXPECT_NE(message(c).find("cdp.prev_lines"), std::string::npos);
+    c.prevLines = maxWidthLines;
+    c.nextLines = maxWidthLines;
+    EXPECT_EQ(message(c), "");
+}
+
+TEST(ContentPf, ReconfigureRejectsWidthAboveBoundAndKeepsConfig)
+{
+    ContentPrefetcher pf(baseConfig());
+    CdpConfig wide = baseConfig();
+    wide.nextLines = 100000;
+    EXPECT_THROW(pf.reconfigure(wide), std::invalid_argument);
+    EXPECT_EQ(pf.config().nextLines, 0u);
+    wide.nextLines = maxWidthLines;
+    pf.reconfigure(wide);
+    EXPECT_EQ(pf.config().nextLines, maxWidthLines);
+}
+
+TEST(ContentPf, WidestScanOfAFullLineStaysInItsBuffer)
+{
+    // Every word a candidate, maximal width on both sides: the scan
+    // finishes, emits each line once, and fits the sized buffer.
+    CdpConfig c = baseConfig();
+    c.vam.scanStep = 4;
+    c.nextLines = maxWidthLines;
+    c.prevLines = maxWidthLines;
+    ContentPrefetcher pf(c);
+    std::array<std::uint8_t, lineBytes> line{};
+    for (unsigned off = 0; off < lineBytes; off += 4) {
+        const std::uint32_t p = 0x10000000 + off * 0x10000;
+        std::memcpy(line.data() + off, &p, 4);
+    }
+    const auto &out = pf.scanFill(line.data(), 0x10000008, 0);
+    EXPECT_EQ(out.size(), 16u * (1 + 2 * maxWidthLines) - 1);
+    EXPECT_LE(out.size(), out.capacity());
+    std::set<Addr> lines;
+    for (const auto &cand : out)
+        EXPECT_TRUE(lines.insert(cand.lineVa).second);
 }

@@ -137,7 +137,7 @@ TEST(InvariantDeath, MshrIllegalPromotionState)
     ASSERT_TRUE(mshrs.allocate(prefetchEntry(0x4000, 1)));
     // A promoted entry that is still prefetch-class is outside the
     // merge/promotion FSM (promote() reclassifies to demand).
-    check::Access::entries(mshrs).begin()->second.promoted = true;
+    check::Access::entries(mshrs).begin()->value.promoted = true;
     EXPECT_DEATH(check::auditMshr(mshrs, 3, "mshr"), "promoted");
 }
 
@@ -149,7 +149,7 @@ TEST(InvariantDeath, MshrLeakedEntriesBeyondCapacity)
     // Inject a second entry behind the allocator's back: occupancy
     // now exceeds the hardware's register count.
     auto leaked = prefetchEntry(0x8000, 1);
-    check::Access::entries(mshrs).emplace(leaked.linePa, leaked);
+    check::Access::entries(mshrs).insert(leaked.linePa, leaked);
     EXPECT_DEATH(check::auditMshr(mshrs, 3, "mshr"), "capacity");
 }
 

@@ -84,6 +84,7 @@ TEST_F(PtFixture, WalkPathForMappedVa)
     EXPECT_EQ(pageAlign(p.pdeAddr), pt.rootAddr());
     // The PTE must hold the mapped frame.
     EXPECT_EQ(pageAlign(store.read32(p.pteAddr)), 0x00400000u);
+    EXPECT_EQ(p.framePa, std::optional<Addr>(0x00400000u));
 }
 
 TEST_F(PtFixture, WalkPathForUnmappedVaIsIncomplete)
@@ -91,6 +92,7 @@ TEST_F(PtFixture, WalkPathForUnmappedVaIsIncomplete)
     const WalkPath p = pt.walkPath(0xb0000000);
     EXPECT_FALSE(p.complete);
     EXPECT_EQ(p.pteAddr, 0u);
+    EXPECT_FALSE(p.framePa.has_value());
 }
 
 TEST_F(PtFixture, WalkPathIncompleteButPteInvalidWhenSiblingMapped)
@@ -100,6 +102,7 @@ TEST_F(PtFixture, WalkPathIncompleteButPteInvalidWhenSiblingMapped)
     pt.map(0x10000000, 0x00400000);
     const WalkPath p = pt.walkPath(0x10005000);
     EXPECT_TRUE(p.complete);
+    EXPECT_FALSE(p.framePa.has_value());
     EXPECT_FALSE(pt.translate(0x10005000).has_value());
 }
 

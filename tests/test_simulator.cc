@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "sim/simulator.hh"
 
 using namespace cdp;
@@ -132,4 +136,35 @@ TEST(Simulator, MarkovConfigurationsConstruct)
     const RunResult r = sim.run();
     EXPECT_GT(r.ipc, 0.0);
     EXPECT_NE(sim.memory().markovPf(), nullptr);
+}
+
+TEST(Simulator, UnboundedKnobFailsConstructionNamingTheKey)
+{
+    // "-1" parses to 2^32-1 through stoull; a width or degree that
+    // large used to spin the first scan or miss. The machine must
+    // refuse it up front, naming the key.
+    const std::vector<std::vector<std::string>> cases = {
+        {"cdp.next_lines=-1"},
+        {"cdp.next_lines=100000"},
+        {"cdp.prev_lines=64"},
+        {"stride.degree=-1"},
+        {"stride.policy=nextline", "stride.degree=65"},
+        {"markov.enabled=1", "markov.fanout=-1"},
+    };
+    for (const auto &args : cases) {
+        SimConfig c = smallConfig();
+        for (const std::string &a : args) {
+            const auto eq = a.find('=');
+            ASSERT_TRUE(c.applyOverride(a.substr(0, eq), a.substr(eq + 1)));
+        }
+        const std::string &bad = args.back();
+        const std::string key = bad.substr(0, bad.find('='));
+        try {
+            Simulator sim(c);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
 }

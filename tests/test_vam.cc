@@ -314,6 +314,7 @@ TEST(VamProperty, ClassifyAgreesWithScanLine)
             if (vam.isCandidate(w, ea))
                 expect.push_back(w);
         }
-        EXPECT_EQ(vam.scanLine(line, ea), expect);
+        const VamHits hits = vam.scanLine(line, ea);
+        EXPECT_EQ(std::vector<Addr>(hits.begin(), hits.end()), expect);
     }
 }

@@ -39,10 +39,12 @@ simdLevels()
 void
 expectLineAgrees(Vam &vam, const std::uint8_t *line, Addr ea)
 {
-    const std::vector<Addr> ref = vam.scanLineScalar(line, ea);
+    const VamHits scalar = vam.scanLineScalar(line, ea);
+    const std::vector<Addr> ref(scalar.begin(), scalar.end());
     for (const VamSimdLevel l : simdLevels()) {
         vam.forceSimdLevel(l);
-        EXPECT_EQ(vam.scanLine(line, ea), ref)
+        const VamHits hits = vam.scanLine(line, ea);
+        EXPECT_EQ(std::vector<Addr>(hits.begin(), hits.end()), ref)
             << "level=" << static_cast<int>(l) << " ea=" << ea;
     }
 }

@@ -9,7 +9,9 @@ from the declarations themselves, across every file in the lint run:
   - cycle_funcs: functions declared returning `Cycle`, so a call like
     `bus.freeCycle()` is recognized as a Cycle-typed operand.
   - unordered_idents: identifiers declared as std::unordered_map /
-    std::unordered_set (any template arguments).
+    std::unordered_set (any template arguments), or as the tree's own
+    open-addressed AddrTable<V> / AddrSet (src/common/addr_table.hh),
+    whose slot order is just as much a hash order.
   - unordered_funcs: functions returning (references to) unordered
     containers, e.g. check::Access::entries().
 
@@ -33,7 +35,10 @@ _DECL_SKIP_IDENTS = {"const", "volatile", "constexpr", "static",
 _DECL_SKIP_PUNCT = {"&", "*", "&&"}
 
 _UNORDERED_TYPES = {"unordered_map", "unordered_set",
-                    "unordered_multimap", "unordered_multiset"}
+                    "unordered_multimap", "unordered_multiset",
+                    "AddrTable"}
+# Aliases of a hash container that take no template argument list.
+_UNORDERED_ALIASES = {"AddrSet"}
 
 
 @dataclass
@@ -106,28 +111,33 @@ def _scan_cycle_decls(toks: List[Token], idx: DeclIndex) -> None:
 def _scan_unordered_decls(toks: List[Token], idx: DeclIndex) -> None:
     n = len(toks)
     for i, t in enumerate(toks):
-        if t.kind != IDENT or t.text not in _UNORDERED_TYPES:
+        if t.kind != IDENT:
             continue
-        # Must be followed by a template argument list.
         j = i + 1
-        if j >= n or toks[j].text != "<":
+        if t.text in _UNORDERED_ALIASES:
+            pass
+        elif t.text not in _UNORDERED_TYPES:
             continue
-        depth = 0
-        while j < n:
-            if toks[j].text == "<":
-                depth += 1
-            elif toks[j].text == ">":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif toks[j].text == ">>":
-                depth -= 2
-                if depth <= 0:
-                    break
+        else:
+            # Must be followed by a template argument list.
+            if j >= n or toks[j].text != "<":
+                continue
+            depth = 0
+            while j < n:
+                if toks[j].text == "<":
+                    depth += 1
+                elif toks[j].text == ">":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif toks[j].text == ">>":
+                    depth -= 2
+                    if depth <= 0:
+                        break
+                j += 1
+            if j >= n:
+                continue
             j += 1
-        if j >= n:
-            continue
-        j += 1
         while j < n and ((toks[j].kind == IDENT and
                           toks[j].text in _DECL_SKIP_IDENTS) or
                          (toks[j].kind == PUNCT and
