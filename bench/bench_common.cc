@@ -66,10 +66,32 @@ simRunner()
 void
 applyEnv(SimConfig &cfg, int argc, char **argv)
 {
-    const unsigned jobs = runner::parseJobsFlag(argc, argv);
-    if (jobs)
-        setRunnerJobs(jobs);
-    cfg.parseArgs(argc, argv); // also applies CDP_SCALE
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--help" || arg == "-h") {
+            std::printf(
+                "usage: %s [-jN | --jobs=N] [key=value ...]\n"
+                "  -jN        run N simulations in parallel "
+                "(default: CDP_JOBS or every core)\n"
+                "  key=value  override a machine or run setting "
+                "(keys: src/sim/config.cc)\n"
+                "  CDP_SCALE=f scales the warm-up and measured "
+                "lengths; CDP_FULL_SUITE=1 sweeps all 15 "
+                "workloads\n",
+                argv[0]);
+            std::exit(0);
+        }
+    }
+    try {
+        const unsigned jobs = runner::parseJobsFlag(argc, argv);
+        if (jobs)
+            setRunnerJobs(jobs);
+        cfg.parseArgs(argc, argv); // also applies CDP_SCALE
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s (see %s --help)\n", e.what(),
+                     argv[0]);
+        std::exit(2);
+    }
 }
 
 bool

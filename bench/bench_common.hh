@@ -33,7 +33,8 @@ namespace cdpbench
 /**
  * Apply CDP_SCALE and any argv overrides to @p cfg. A `-jN` /
  * `--jobs=N` argument is consumed here and sets the worker count of
- * the shared runner (must precede the first fan-out).
+ * the shared runner (must precede the first fan-out). `--help` prints
+ * usage and exits 0; a bad argument prints `error: ...` and exits 2.
  */
 void applyEnv(cdp::SimConfig &cfg, int argc, char **argv);
 

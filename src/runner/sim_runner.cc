@@ -1,5 +1,6 @@
 #include "runner/sim_runner.hh"
 
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -117,14 +118,13 @@ parseJobsFlag(int &argc, char **argv)
             argv[w++] = argv[i];
             continue;
         }
-        try {
-            const long v = std::stol(value);
-            if (v <= 0)
-                throw std::invalid_argument("");
-            jobs = static_cast<unsigned>(v);
-        } catch (...) {
+        // A positive decimal that fits an unsigned: the whole string.
+        unsigned v = 0;
+        const char *end = value.data() + value.size();
+        const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+        if (ec != std::errc() || ptr != end || v == 0)
             throw std::invalid_argument("bad job count: " + value);
-        }
+        jobs = v;
     }
     argc = w;
     return jobs;

@@ -1,8 +1,12 @@
 #include "sim/config.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace cdp
 {
@@ -10,16 +14,60 @@ namespace cdp
 namespace
 {
 
-std::uint64_t
-toU64(const std::string &v)
+[[noreturn]] void
+badValue(const std::string &key, const std::string &value,
+         const std::string &why)
 {
-    return std::stoull(v);
+    throw std::invalid_argument("config " + key + "=" + value + ": " +
+                                why);
+}
+
+/**
+ * Store the unsigned decimal @p value, times @p scale, into @p field.
+ * The whole string must be digits (no sign, no blanks, no suffix),
+ * and the scaled value must fit the field.
+ */
+template <typename T>
+void
+setUnsigned(T &field, const std::string &key, const std::string &value,
+            std::uint64_t scale = 1)
+{
+    static_assert(std::is_unsigned_v<T>);
+    std::uint64_t v = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec == std::errc::invalid_argument || ptr != end)
+        badValue(key, value, "expected an unsigned integer");
+    const std::uint64_t max = std::numeric_limits<T>::max() / scale;
+    if (ec == std::errc::result_out_of_range || v > max)
+        badValue(key, value,
+                 "out of range (max " + std::to_string(max) + ")");
+    field = static_cast<T>(v * scale);
 }
 
 bool
-toBool(const std::string &v)
+toBool(const std::string &key, const std::string &value)
 {
-    return v == "1" || v == "true" || v == "on" || v == "yes";
+    if (value == "1" || value == "true" || value == "on" ||
+        value == "yes")
+        return true;
+    if (value == "0" || value == "false" || value == "off" ||
+        value == "no")
+        return false;
+    badValue(key, value, "expected 1/true/on/yes or 0/false/off/no");
+}
+
+/** A finite, unsigned decimal number; the whole string must parse. */
+double
+toDouble(const std::string &key, const std::string &value)
+{
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (value.empty() || value[0] == '-' || ec != std::errc() ||
+        ptr != end || !std::isfinite(v))
+        badValue(key, value, "expected an unsigned decimal number");
+    return v;
 }
 
 } // namespace
@@ -41,64 +89,74 @@ bool
 SimConfig::applyOverride(const std::string &key, const std::string &value)
 {
     // Core.
-    if (key == "core.issue_width") core.issueWidth = toU64(value);
-    else if (key == "core.rob") core.robEntries = toU64(value);
-    else if (key == "core.load_buffer") core.loadBuffer = toU64(value);
-    else if (key == "core.store_buffer") core.storeBuffer = toU64(value);
+    if (key == "core.issue_width") setUnsigned(core.issueWidth, key, value);
+    else if (key == "core.rob") setUnsigned(core.robEntries, key, value);
+    else if (key == "core.load_buffer")
+        setUnsigned(core.loadBuffer, key, value);
+    else if (key == "core.store_buffer")
+        setUnsigned(core.storeBuffer, key, value);
     else if (key == "core.mispredict_penalty")
-        core.mispredictPenalty = toU64(value);
+        setUnsigned(core.mispredictPenalty, key, value);
     // Memory hierarchy.
-    else if (key == "mem.l1_kb") mem.l1Bytes = toU64(value) * 1024;
-    else if (key == "mem.l2_kb") mem.l2Bytes = toU64(value) * 1024;
-    else if (key == "mem.l2_ways") mem.l2Ways = toU64(value);
-    else if (key == "mem.dtlb_entries") mem.dtlbEntries = toU64(value);
-    else if (key == "mem.dtlb_ways") mem.dtlbWays = toU64(value);
-    else if (key == "mem.bus_latency") mem.busLatency = toU64(value);
-    else if (key == "mem.bus_occupancy") mem.busOccupancy = toU64(value);
-    else if (key == "mem.bus_queue") mem.busQueueSize = toU64(value);
-    else if (key == "mem.l2_queue") mem.l2QueueSize = toU64(value);
+    else if (key == "mem.l1_kb") setUnsigned(mem.l1Bytes, key, value, 1024);
+    else if (key == "mem.l2_kb") setUnsigned(mem.l2Bytes, key, value, 1024);
+    else if (key == "mem.l2_ways") setUnsigned(mem.l2Ways, key, value);
+    else if (key == "mem.dtlb_entries")
+        setUnsigned(mem.dtlbEntries, key, value);
+    else if (key == "mem.dtlb_ways") setUnsigned(mem.dtlbWays, key, value);
+    else if (key == "mem.bus_latency") setUnsigned(mem.busLatency, key, value);
+    else if (key == "mem.bus_occupancy")
+        setUnsigned(mem.busOccupancy, key, value);
+    else if (key == "mem.bus_queue") setUnsigned(mem.busQueueSize, key, value);
+    else if (key == "mem.l2_queue") setUnsigned(mem.l2QueueSize, key, value);
     // Stride prefetcher.
-    else if (key == "stride.enabled") stride.enabled = toBool(value);
+    else if (key == "stride.enabled") stride.enabled = toBool(key, value);
     else if (key == "stride.policy") {
         if (value != "stride" && value != "nextline")
             throw std::invalid_argument(
                 "stride.policy must be 'stride' or 'nextline'");
         stride.policy = value;
     }
-    else if (key == "stride.degree") stride.degree = toU64(value);
-    else if (key == "stride.entries") stride.tableEntries = toU64(value);
+    else if (key == "stride.degree") setUnsigned(stride.degree, key, value);
+    else if (key == "stride.entries")
+        setUnsigned(stride.tableEntries, key, value);
     // Markov prefetcher.
-    else if (key == "markov.enabled") markov.enabled = toBool(value);
-    else if (key == "markov.stab_kb") markov.stabBytes = toU64(value) * 1024;
-    else if (key == "markov.fanout") markov.fanout = toU64(value);
+    else if (key == "markov.enabled") markov.enabled = toBool(key, value);
+    else if (key == "markov.stab_kb")
+        setUnsigned(markov.stabBytes, key, value, 1024);
+    else if (key == "markov.fanout") setUnsigned(markov.fanout, key, value);
     // Content prefetcher.
-    else if (key == "cdp.enabled") cdp.enabled = toBool(value);
-    else if (key == "cdp.compare_bits") cdp.vam.compareBits = toU64(value);
-    else if (key == "cdp.filter_bits") cdp.vam.filterBits = toU64(value);
-    else if (key == "cdp.align_bits") cdp.vam.alignBits = toU64(value);
-    else if (key == "cdp.scan_step") cdp.vam.scanStep = toU64(value);
-    else if (key == "cdp.depth") cdp.depthThreshold = toU64(value);
-    else if (key == "cdp.next_lines") cdp.nextLines = toU64(value);
-    else if (key == "cdp.prev_lines") cdp.prevLines = toU64(value);
-    else if (key == "cdp.reinforce") cdp.reinforce = toBool(value);
+    else if (key == "cdp.enabled") cdp.enabled = toBool(key, value);
+    else if (key == "cdp.compare_bits")
+        setUnsigned(cdp.vam.compareBits, key, value);
+    else if (key == "cdp.filter_bits")
+        setUnsigned(cdp.vam.filterBits, key, value);
+    else if (key == "cdp.align_bits")
+        setUnsigned(cdp.vam.alignBits, key, value);
+    else if (key == "cdp.scan_step") setUnsigned(cdp.vam.scanStep, key, value);
+    else if (key == "cdp.depth") setUnsigned(cdp.depthThreshold, key, value);
+    else if (key == "cdp.next_lines") setUnsigned(cdp.nextLines, key, value);
+    else if (key == "cdp.prev_lines") setUnsigned(cdp.prevLines, key, value);
+    else if (key == "cdp.reinforce") cdp.reinforce = toBool(key, value);
     else if (key == "cdp.reinforce_min_delta")
-        cdp.reinforceMinDelta = toU64(value);
+        setUnsigned(cdp.reinforceMinDelta, key, value);
     else if (key == "cdp.scan_page_walks")
-        cdp.scanPageWalkFills = toBool(value);
+        cdp.scanPageWalkFills = toBool(key, value);
     else if (key == "cdp.scan_width")
-        cdp.scanWidthFills = toBool(value);
+        cdp.scanWidthFills = toBool(key, value);
     // Adaptive VAM controller (Section 4.1 future work).
-    else if (key == "adaptive.enabled") adaptive.enabled = toBool(value);
+    else if (key == "adaptive.enabled") adaptive.enabled = toBool(key, value);
     else if (key == "adaptive.epoch")
-        adaptive.epochPrefetches = toU64(value);
+        setUnsigned(adaptive.epochPrefetches, key, value);
     else if (key == "adaptive.low_accuracy")
-        adaptive.lowAccuracy = std::stod(value);
+        adaptive.lowAccuracy = toDouble(key, value);
     else if (key == "adaptive.high_accuracy")
-        adaptive.highAccuracy = std::stod(value);
+        adaptive.highAccuracy = toDouble(key, value);
     else if (key == "adaptive.adjust_width")
-        adaptive.adjustWidth = toBool(value);
+        adaptive.adjustWidth = toBool(key, value);
     // Pollution limit study.
-    else if (key == "pollution.enabled") pollution.enabled = toBool(value);
+    else if (key == "pollution.enabled")
+        pollution.enabled = toBool(key, value);
     // Simulation scheduler (host-side; stats are mode-independent).
     else if (key == "sched.mode") {
         if (value != "wheel" && value != "legacy")
@@ -107,14 +165,15 @@ SimConfig::applyOverride(const std::string &key, const std::string &value)
         sched.mode = value;
     }
     // Lifecycle-event tracer (src/obs).
-    else if (key == "trace.enabled") trace.enabled = toBool(value);
-    else if (key == "trace.buffer") trace.bufferEvents = toU64(value);
+    else if (key == "trace.enabled") trace.enabled = toBool(key, value);
+    else if (key == "trace.buffer")
+        setUnsigned(trace.bufferEvents, key, value);
     // Run control.
     else if (key == "workload") workload = value;
-    else if (key == "seed") workloadSeed = toU64(value);
-    else if (key == "warmup_uops") warmupUops = toU64(value);
-    else if (key == "measure_uops") measureUops = toU64(value);
-    else if (key == "scale") scaleRunLength(std::stod(value));
+    else if (key == "seed") setUnsigned(workloadSeed, key, value);
+    else if (key == "warmup_uops") setUnsigned(warmupUops, key, value);
+    else if (key == "measure_uops") setUnsigned(measureUops, key, value);
+    else if (key == "scale") scaleRunLength(toDouble(key, value));
     else
         return false;
     return true;
@@ -139,7 +198,7 @@ SimConfig::parseArgs(int argc, char **argv)
     // host-side knob; its value is captured into the config and
     // echoed in the config summary, so runs remain reproducible.
     if (const char *scale = std::getenv("CDP_SCALE"))
-        scaleRunLength(std::stod(scale));
+        scaleRunLength(toDouble("CDP_SCALE", scale));
 }
 
 std::string

@@ -11,23 +11,37 @@ namespace cdp
 namespace
 {
 
+// Payload words from one raw RNG draw each, computed exactly as
+// Rng::below(65536) and Rng::uniform() compute them from next64().
+
+std::uint32_t
+smallIntOf(std::uint64_t draw)
+{
+    return static_cast<std::uint32_t>(draw % 65536);
+}
+
+std::uint32_t
+floatBitsOf(std::uint64_t draw)
+{
+    const double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
+    const float f = static_cast<float>(u * 2000.0 - 1000.0);
+    std::uint32_t bits;
+    std::memcpy(&bits, &f, 4);
+    return bits;
+}
+
 /** One plausible non-pointer payload word. */
 std::uint32_t
 payloadWord(DataKind kind, Rng &rng)
 {
     switch (kind) {
       case DataKind::SmallInts:
-        return static_cast<std::uint32_t>(rng.below(65536));
+        return smallIntOf(rng.next64());
       case DataKind::MediumInts:
         return static_cast<std::uint32_t>(
             (1u << 18) + rng.below((1u << 24) - (1u << 18)));
-      case DataKind::Floats: {
-        const float f =
-            static_cast<float>(rng.uniform() * 2000.0 - 1000.0);
-        std::uint32_t bits;
-        std::memcpy(&bits, &f, 4);
-        return bits;
-      }
+      case DataKind::Floats:
+        return floatBitsOf(rng.next64());
       case DataKind::RandomBits:
         return rng.next32();
     }
@@ -38,16 +52,22 @@ payloadWord(DataKind kind, Rng &rng)
 
 void
 fillPayload(HeapAllocator &heap, Addr node, std::uint32_t bytes,
-            const std::vector<std::uint32_t> &skip_offsets, Rng &rng)
+            std::initializer_list<std::uint32_t> skip_offsets, Rng &rng)
 {
     for (std::uint32_t off = 0; off + 4 <= bytes; off += 4) {
         if (std::find(skip_offsets.begin(), skip_offsets.end(), off) !=
             skip_offsets.end())
             continue;
-        // Mix small ints and floats, the dominant payload classes.
-        const DataKind kind =
-            rng.chance(0.5) ? DataKind::SmallInts : DataKind::Floats;
-        heap.write32(node + off, payloadWord(kind, rng));
+        // The draws of rng.chance(0.5) and then of the chosen kind's
+        // value, in that order, but the coin selects by mask:
+        // chance(0.5) holds exactly when bit 63 of its draw is clear.
+        const std::uint64_t coin = rng.next64();
+        const std::uint64_t draw = rng.next64();
+        const std::uint32_t is_float =
+            0u - static_cast<std::uint32_t>(coin >> 63);
+        const std::uint32_t word = (smallIntOf(draw) & ~is_float) |
+                                   (floatBitsOf(draw) & is_float);
+        heap.write32(node + off, word);
     }
 }
 

@@ -18,6 +18,7 @@
 #define CDP_WORKLOADS_BUILDERS_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "common/rng.hh"
@@ -158,10 +159,11 @@ Addr buildDataRegion(HeapAllocator &heap, std::uint32_t bytes,
 
 /**
  * Fill the payload words of a node (everything except the pointer
- * slots listed) with plausible non-pointer data.
+ * slots listed) with plausible non-pointer data: each word is a small
+ * int or a float with equal odds.
  */
 void fillPayload(HeapAllocator &heap, Addr node, std::uint32_t bytes,
-                 const std::vector<std::uint32_t> &skip_offsets,
+                 std::initializer_list<std::uint32_t> skip_offsets,
                  Rng &rng);
 
 } // namespace cdp

@@ -60,10 +60,8 @@ ListTraversalGen::emitBlock()
         pushLoad(pcBase + 4 * k, cur + off, rp, rv, false);
     }
     for (unsigned k = 0; k < opts.aluPerNode; ++k) {
-        if (rng.chance(opts.fpFrac))
-            pushFp(pcBase + 0x40 + 4 * k, rv, rc);
-        else
-            pushAlu(pcBase + 0x40 + 4 * k, rv, rc);
+        pushOp(rng.chance(opts.fpFrac) ? UopType::Fp : UopType::Alu,
+               pcBase + 0x40 + 4 * k, rv, rc);
     }
     // The recurrence load: next = cur->next.
     pushLoad(pcBase + 0x80, cur + list.nextOffset, rp, rp, true);
@@ -117,21 +115,21 @@ TreeSearchGen::emitBlock()
     const std::uint32_t right = heap.read32(cur + tree.rightOffset);
     // Random search key -> effectively random direction; the branch
     // depends on the loaded key and mispredicts like real search code.
-    bool go_left = rng.chance(0.5);
-    if (left == 0 && right == 0) {
-        // Leaf: restart from the root on the next block.
-    } else if (left == 0) {
-        go_left = false;
-    } else if (right == 0) {
-        go_left = true;
-    }
+    // A node with one child goes to it; a leaf keeps the coin and
+    // restarts from the root on the next block. Selects, not
+    // branches: the host cannot predict the coin either.
+    const bool coin = rng.chance(0.5);
+    const bool has_left = left != 0;
+    const bool has_right = right != 0;
+    const bool go_left =
+        (coin & (has_left == has_right)) | (has_left & !has_right);
     pushBranch(pcBase + 0x40, go_left, rk);
 
     const std::uint32_t child_off =
         go_left ? tree.leftOffset : tree.rightOffset;
     pushLoad(pcBase + 0x44, cur + child_off, rp, rp, true);
 
-    const Addr child = heap.read32(cur + child_off);
+    const Addr child = go_left ? left : right;
     cur = child != 0 ? child : tree.root;
 }
 
@@ -465,10 +463,8 @@ ComputeGen::emitBlock()
         // Alternate dependent/independent ops: ~2-wide ILP.
         const auto dst = (k % 2) ? r0 : r1;
         const auto src = (k % 2) ? r1 : r0;
-        if (rng.chance(fpFrac))
-            pushFp(pcBase + 4 * k, src, dst);
-        else
-            pushAlu(pcBase + 4 * k, src, dst);
+        pushOp(rng.chance(fpFrac) ? UopType::Fp : UopType::Alu,
+               pcBase + 4 * k, src, dst);
     }
     const bool random_branch = rng.chance(branchRandomProb);
     pushBranch(pcBase + 0x100,
@@ -503,7 +499,7 @@ MixGen::adopt(std::unique_ptr<HeapAllocator> aux)
 }
 
 void
-MixGen::add(std::unique_ptr<UopSource> src, double weight)
+MixGen::add(std::unique_ptr<BlockUopSource> src, double weight)
 {
     if (weight <= 0.0)
         return;
@@ -518,12 +514,13 @@ MixGen::next()
     if (sources.empty())
         throw std::runtime_error("MixGen: no sources");
     const double pick = rng.uniform() * totalWeight;
-    const auto it =
-        std::upper_bound(cumWeights.begin(), cumWeights.end(), pick);
-    const std::size_t idx = std::min<std::size_t>(
-        static_cast<std::size_t>(it - cumWeights.begin()),
-        sources.size() - 1);
-    return sources[idx]->next();
+    // upper_bound without its branches: cumWeights never decreases,
+    // so the index of the first weight above pick is the number of
+    // weights at or below it.
+    std::size_t idx = 0;
+    for (const double w : cumWeights)
+        idx += w <= pick;
+    return sources[std::min(idx, sources.size() - 1)]->take();
 }
 
 void

@@ -37,8 +37,12 @@ namespace cdp
 class BlockUopSource : public UopSource
 {
   public:
+    /**
+     * The next uop, non-virtual: MixGen hands uops out through this,
+     * so only the refill of an empty block is a virtual call.
+     */
     Uop
-    next() override
+    take()
     {
         // A block is always fully consumed before the next one is
         // staged, so the queue is a flat vector with a read cursor
@@ -51,6 +55,8 @@ class BlockUopSource : public UopSource
         }
         return queue[queueHead++];
     }
+
+    Uop next() final { return take(); }
 
   protected:
     /** Emit at least one uop into the queue. */
@@ -86,11 +92,12 @@ class BlockUopSource : public UopSource
         queue.push_back(u);
     }
 
+    /** An ALU or FP op: @p type is UopType::Alu or UopType::Fp. */
     void
-    pushAlu(Addr pc, std::int8_t src, std::int8_t dst)
+    pushOp(UopType type, Addr pc, std::int8_t src, std::int8_t dst)
     {
         Uop u;
-        u.type = UopType::Alu;
+        u.type = type;
         u.pc = pc;
         u.src0 = src;
         u.dst = dst;
@@ -98,14 +105,9 @@ class BlockUopSource : public UopSource
     }
 
     void
-    pushFp(Addr pc, std::int8_t src, std::int8_t dst)
+    pushAlu(Addr pc, std::int8_t src, std::int8_t dst)
     {
-        Uop u;
-        u.type = UopType::Fp;
-        u.pc = pc;
-        u.src0 = src;
-        u.dst = dst;
-        queue.push_back(u);
+        pushOp(UopType::Alu, pc, src, dst);
     }
 
     void
@@ -391,7 +393,7 @@ class MixGen : public UopSource
     MixGen(std::string mix_name, std::uint64_t seed);
 
     /** Add a sub-source with a selection weight. */
-    void add(std::unique_ptr<UopSource> src, double weight);
+    void add(std::unique_ptr<BlockUopSource> src, double weight);
 
     /**
      * Take ownership of an auxiliary object (e.g. the allocator of a
@@ -414,7 +416,7 @@ class MixGen : public UopSource
     // cdplint: transient(mixName, cumWeights, totalWeight) -- mix recipe is construction-time; only the constituent sources and the selector RNG travel
     std::string mixName;
     Rng rng;
-    std::vector<std::unique_ptr<UopSource>> sources;
+    std::vector<std::unique_ptr<BlockUopSource>> sources;
     std::vector<std::unique_ptr<HeapAllocator>> auxiliaries;
     std::vector<double> cumWeights;
     double totalWeight = 0.0;

@@ -15,6 +15,9 @@ HeapAllocator::HeapAllocator(BackingStore &store, PageTable &page_table,
       top(heap_base), mappedTo(heap_base), alignNoise(align_noise),
       rng(seed)
 {
+    if (pageOffset(heap_base) != 0)
+        throw std::invalid_argument("HeapAllocator: heap base not "
+                                    "page-aligned");
 }
 
 Addr
@@ -22,7 +25,7 @@ HeapAllocator::alloc(Addr bytes, Addr align)
 {
     if (bytes == 0)
         bytes = 1;
-    if (align == 0 || (align & (align - 1)) != 0)
+    if (align == 0 || (align & (align - 1)) != 0 || align > pageBytes)
         throw std::invalid_argument("HeapAllocator: bad alignment");
 
     Addr effective_align = align;
@@ -37,20 +40,27 @@ HeapAllocator::alloc(Addr bytes, Addr align)
 }
 
 void
+HeapAllocator::sizeTable()
+{
+    pages.resize((mappedTo - base) >> pageShift);
+}
+
+void
 HeapAllocator::ensureMapped(Addr va, Addr bytes)
 {
-    const Addr first = pageAlign(va);
+    if (va < base)
+        throw std::invalid_argument("HeapAllocator: ensureMapped below "
+                                    "the heap base");
+    // alloc() aligns to at most a page, so an allocation starts at or
+    // below mappedTo and the pages it needs are exactly those from
+    // mappedTo up: the ones below are mapped already.
     const Addr last = pageAlign(va + bytes - 1);
-    for (Addr page = first;; page += pageBytes) {
-        if (page >= mappedTo || !table.translate(page)) {
-            const Addr frame = frames.allocate();
-            table.map(page, frame);
-        }
-        if (page == last)
-            break;
-    }
-    if (last + pageBytes > mappedTo)
-        mappedTo = last + pageBytes;
+    if (last < mappedTo)
+        return;
+    for (Addr page = mappedTo; page <= last; page += pageBytes)
+        table.map(page, frames.allocate());
+    mappedTo = last + pageBytes;
+    sizeTable();
 }
 
 Addr
@@ -63,23 +73,17 @@ HeapAllocator::translateOrThrow(Addr va) const
 }
 
 std::uint32_t
-HeapAllocator::read32(Addr va) const
+HeapAllocator::readSlow(Addr va) const
 {
     if (pageOffset(va) <= pageBytes - 4) {
-        if (pageAlign(va) == lastVaPage) {
-            std::uint32_t v;
-            std::memcpy(&v, lastHost + pageOffset(va), 4);
-            return v;
-        }
-        const Addr pa = translateOrThrow(va);
-        if (std::uint8_t *host = store.pageDataIfPresent(pa)) {
-            lastVaPage = pageAlign(va);
-            lastHost = host;
-            std::uint32_t v;
-            std::memcpy(&v, host + pageOffset(pa), 4);
-            return v;
-        }
-        return 0; // never-written frame reads as zero; do not memoize
+        std::uint8_t *host = store.pageDataIfPresent(translateOrThrow(va));
+        if (!host)
+            return 0; // never-written frame reads as zero; stays absent
+        if (std::uint8_t **e = entry(va))
+            *e = host;
+        std::uint32_t v;
+        std::memcpy(&v, host + pageOffset(va), 4);
+        return v;
     }
     std::uint32_t v = 0;
     for (unsigned i = 0; i < 4; ++i) {
@@ -91,17 +95,14 @@ HeapAllocator::read32(Addr va) const
 }
 
 void
-HeapAllocator::write32(Addr va, std::uint32_t v)
+HeapAllocator::writeSlow(Addr va, std::uint32_t v)
 {
     if (pageOffset(va) <= pageBytes - 4) {
-        if (pageAlign(va) == lastVaPage) {
-            std::memcpy(lastHost + pageOffset(va), &v, 4);
-            return;
-        }
-        const Addr pa = translateOrThrow(va);
-        lastVaPage = pageAlign(va);
-        lastHost = store.pageData(pa);
-        std::memcpy(lastHost + pageOffset(pa), &v, 4);
+        // The first write materializes the frame, zero-filled.
+        std::uint8_t *host = store.pageData(translateOrThrow(va));
+        if (std::uint8_t **e = entry(va))
+            *e = host;
+        std::memcpy(host + pageOffset(va), &v, 4);
         return;
     }
     for (unsigned i = 0; i < 4; ++i) {
@@ -139,9 +140,13 @@ HeapAllocator::loadState(snap::Reader &r)
     mappedTo = r.u32();
     if (top < base || mappedTo < base)
         r.fail("heap bump pointer below the heap base");
+    if (top > mappedTo || pageOffset(mappedTo) != 0)
+        r.fail("heap mapped end not a page boundary at or above the "
+               "bump pointer");
     r.rng(rng);
-    lastVaPage = ~Addr{0};
-    lastHost = nullptr;
+    // The restored frames replace the ones the table points at.
+    pages.clear();
+    sizeTable();
 }
 
 } // namespace cdp

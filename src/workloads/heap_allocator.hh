@@ -13,15 +13,20 @@
  * footprint", Section 4.1).
  *
  * The allocator is also the workloads' window into simulated memory:
- * read32/write32 translate through the page table and hit the
- * BackingStore, so structures built here are real bytes the content
- * prefetcher later scans.
+ * read32/write32 reach the BackingStore frames behind the heap's
+ * pages, so structures built here are real bytes the content
+ * prefetcher later scans. Those frames are found through a
+ * direct-indexed table of host page pointers over the mapped heap
+ * (DESIGN.md "workloads-layer hot path"), so a heap access is one
+ * indexed load, with no page-table walk and no hashing.
  */
 
 #ifndef CDP_WORKLOADS_HEAP_ALLOCATOR_HH
 #define CDP_WORKLOADS_HEAP_ALLOCATOR_HH
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.hh"
 #include "common/types.hh"
@@ -48,6 +53,7 @@ class HeapAllocator
 {
   public:
     /**
+     * @param heap_base first heap address; must be page-aligned
      * @param align_noise fraction of allocations aligned to 2 bytes
      *        instead of the requested alignment
      */
@@ -58,19 +64,46 @@ class HeapAllocator
                   std::uint64_t seed = 97);
 
     /**
-     * Allocate @p bytes aligned to @p align (power of two); pages are
-     * mapped on first allocation. Returns the virtual address.
+     * Allocate @p bytes aligned to @p align (a power of two, at most
+     * one page); pages are mapped on first allocation. Returns the
+     * virtual address.
      */
     Addr alloc(Addr bytes, Addr align = 4);
 
-    /** Map every page of [va, va+bytes) (idempotent). */
+    /**
+     * Map every page of [va, va+bytes) (idempotent). The heap is
+     * mapped without gaps from its base: every page below the old end
+     * is mapped already, and pages between it and @p va are mapped
+     * too. Throws std::invalid_argument below the heap base.
+     */
     void ensureMapped(Addr va, Addr bytes);
 
     /** Read a 32-bit little-endian word at virtual address @p va. */
-    std::uint32_t read32(Addr va) const;
+    std::uint32_t
+    read32(Addr va) const
+    {
+        if (pageOffset(va) <= pageBytes - 4) {
+            if (const std::uint8_t *host = cachedPage(va)) {
+                std::uint32_t v;
+                std::memcpy(&v, host + pageOffset(va), 4);
+                return v;
+            }
+        }
+        return readSlow(va);
+    }
 
     /** Write a 32-bit little-endian word at virtual address @p va. */
-    void write32(Addr va, std::uint32_t v);
+    void
+    write32(Addr va, std::uint32_t v)
+    {
+        if (pageOffset(va) <= pageBytes - 4) {
+            if (std::uint8_t *host = cachedPage(va)) {
+                std::memcpy(host + pageOffset(va), &v, 4);
+                return;
+            }
+        }
+        writeSlow(va, v);
+    }
 
     /** Read one byte. */
     std::uint8_t read8(Addr va) const;
@@ -91,19 +124,29 @@ class HeapAllocator
     void loadState(snap::Reader &r);
 
   private:
-    Addr translateOrThrow(Addr va) const;
+    /** Table slot of the page holding @p va, or nullptr outside it. */
+    std::uint8_t **
+    entry(Addr va) const
+    {
+        // Below base the subtraction wraps past every index.
+        const Addr idx = (va - base) >> pageShift;
+        return idx < pages.size() ? &pages[idx] : nullptr;
+    }
 
-    // cdplint: transient(lastVaPage, lastHost) -- one-entry VA-page -> host-frame memo; mappings are never unmapped and frames never move, so only loadState() resets it
-    /**
-     * Translation memo: the last heap page touched by an in-page
-     * read32/write32, as a direct host pointer into the backing
-     * store's frame. Collapses translate + frame lookup for the
-     * pointer-chasing workloads that hammer one page at a time.
-     * Valid because the page table has no unmap and frames are
-     * stable until loadState(), which resets the memo.
-     */
-    mutable Addr lastVaPage = ~Addr{0};
-    mutable std::uint8_t *lastHost = nullptr;
+    /** Host bytes of @p va's page if the table holds them. */
+    std::uint8_t *
+    cachedPage(Addr va) const
+    {
+        std::uint8_t *const *e = entry(va);
+        return e ? *e : nullptr;
+    }
+
+    /** Size the table to cover [base, mappedTo). */
+    void sizeTable();
+
+    std::uint32_t readSlow(Addr va) const;
+    void writeSlow(Addr va, std::uint32_t v);
+    Addr translateOrThrow(Addr va) const;
 
     // cdplint: transient(store, table, frames) -- wiring references rebuilt by the restoring harness, not state
     BackingStore &store;
@@ -115,6 +158,20 @@ class HeapAllocator
     // cdplint: transient(alignNoise) -- construction-time policy knob; the restoring side's own config governs
     double alignNoise;
     Rng rng;
+
+    // cdplint: transient(pages) -- host-pointer cache over the page table and the backing store's frames; rebuilt empty by loadState() and refilled on first touch
+    /**
+     * Direct-indexed page table of the heap, one entry per page of
+     * [base, mappedTo). A page's host pointer is filled on its
+     * first write (or the first read of a frame that already
+     * exists), so a never-written page still reads as 0 without
+     * being materialized. Sized only by ensureMapped() and
+     * loadState(): the measured phase never grows it. The pointers
+     * stay valid because the page table has no unmap and frames
+     * never move until the backing store is restored, which comes
+     * with a loadState() here.
+     */
+    mutable std::vector<std::uint8_t *> pages;
 };
 
 } // namespace cdp

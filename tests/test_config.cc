@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sim/config.hh"
 
 using namespace cdp;
@@ -78,8 +81,102 @@ TEST(Config, BoolParsingVariants)
         c.applyOverride("cdp.enabled", t);
         EXPECT_TRUE(c.cdp.enabled) << t;
     }
-    c.applyOverride("cdp.enabled", "0");
-    EXPECT_FALSE(c.cdp.enabled);
+    for (const char *f : {"0", "false", "off", "no"}) {
+        c.cdp.enabled = true;
+        c.applyOverride("cdp.enabled", f);
+        EXPECT_FALSE(c.cdp.enabled) << f;
+    }
+}
+
+namespace
+{
+
+/** The what() of the invalid_argument @p fn throws ("" if none). */
+template <typename Fn>
+std::string
+rejection(Fn fn)
+{
+    try {
+        fn();
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+overrideError(const std::string &key, const std::string &value)
+{
+    return rejection([&] {
+        SimConfig c;
+        c.applyOverride(key, value);
+    });
+}
+
+} // namespace
+
+TEST(ConfigStrict, TrailingGarbageIsRejected)
+{
+    // Used to run as depth 5.
+    const std::string err = overrideError("cdp.depth", "5x");
+    EXPECT_NE(err.find("cdp.depth=5x"), std::string::npos) << err;
+}
+
+TEST(ConfigStrict, NonNumberErrorNamesKeyAndValue)
+{
+    // Used to report only "stoull".
+    const std::string err = overrideError("cdp.depth", "abc");
+    EXPECT_NE(err.find("cdp.depth=abc"), std::string::npos) << err;
+    EXPECT_NE(err.find("unsigned integer"), std::string::npos) << err;
+}
+
+TEST(ConfigStrict, SignIsRejected)
+{
+    // seed=-1 used to wrap to 2^64-1.
+    EXPECT_NE(overrideError("seed", "-1"), "");
+    EXPECT_NE(overrideError("seed", "+1"), "");
+    EXPECT_NE(overrideError("cdp.depth", " 5"), "");
+    EXPECT_NE(overrideError("adaptive.low_accuracy", "-0.1"), "");
+}
+
+TEST(ConfigStrict, UnknownBoolSpellingIsRejected)
+{
+    // Used to turn CDP off silently.
+    const std::string err = overrideError("cdp.enabled", "ture");
+    EXPECT_NE(err.find("cdp.enabled=ture"), std::string::npos) << err;
+}
+
+TEST(ConfigStrict, ValueMustFitItsField)
+{
+    // core.rob is an unsigned: 2^32 used to truncate to 0.
+    const std::string err = overrideError("core.rob", "4294967296");
+    EXPECT_NE(err.find("out of range"), std::string::npos) << err;
+    SimConfig c;
+    EXPECT_TRUE(c.applyOverride("core.rob", "4294967295"));
+    EXPECT_EQ(c.core.robEntries, 4294967295u);
+    // The KB keys store bytes: the product must fit as well.
+    EXPECT_NE(overrideError("mem.l2_kb", "18014398509481984"), "");
+    EXPECT_NE(overrideError("seed", "18446744073709551616"), "");
+    EXPECT_NE(overrideError("cdp.depth", ""), "");
+}
+
+TEST(ConfigStrict, DoublesParseWhole)
+{
+    EXPECT_NE(overrideError("scale", "1.5x"), "");
+    EXPECT_NE(overrideError("scale", "nan"), "");
+    EXPECT_NE(overrideError("adaptive.high_accuracy", "0.5 "), "");
+    SimConfig c;
+    EXPECT_TRUE(c.applyOverride("adaptive.high_accuracy", "0.5"));
+    EXPECT_DOUBLE_EQ(c.adaptive.highAccuracy, 0.5);
+}
+
+TEST(ConfigStrict, ParseArgsReportsTheBadArgument)
+{
+    SimConfig c;
+    const char *argv[] = {"prog", "cdp.depth=abc"};
+    const std::string err = rejection(
+        [&] { c.parseArgs(2, const_cast<char **>(argv)); });
+    EXPECT_NE(err.find("cdp.depth=abc"), std::string::npos) << err;
 }
 
 TEST(Config, ParseArgsAcceptsKeyValueVector)

@@ -48,6 +48,29 @@ TEST_F(HeapFixture, BadAlignmentRejected)
 {
     EXPECT_THROW(heap.alloc(8, 3), std::invalid_argument);
     EXPECT_THROW(heap.alloc(8, 0), std::invalid_argument);
+    // Wider than a page would leave unmapped pages inside the heap.
+    EXPECT_THROW(heap.alloc(8, 2 * pageBytes), std::invalid_argument);
+    EXPECT_EQ(heap.alloc(8, pageBytes) % pageBytes, 0u);
+}
+
+TEST_F(HeapFixture, UnalignedBaseRejected)
+{
+    EXPECT_THROW(HeapAllocator(store, pt, frames, defaultHeapBase + 64),
+                 std::invalid_argument);
+}
+
+TEST_F(HeapFixture, EnsureMappedFillsTheGapAndRejectsBelowBase)
+{
+    // Mapping ahead of the bump pointer maps every page up to it, so
+    // the next allocation lands on a mapped page.
+    heap.ensureMapped(defaultHeapBase + 3 * pageBytes, 4);
+    for (Addr page = 0; page < 4; ++page)
+        EXPECT_TRUE(pt.translate(defaultHeapBase + page * pageBytes));
+    const Addr va = heap.alloc(2 * pageBytes);
+    heap.write32(va + pageBytes, 7);
+    EXPECT_EQ(heap.read32(va + pageBytes), 7u);
+    EXPECT_THROW(heap.ensureMapped(defaultHeapBase - pageBytes, 4),
+                 std::invalid_argument);
 }
 
 TEST_F(HeapFixture, AllocationsDoNotOverlap)

@@ -222,6 +222,17 @@ TEST(ParseJobsFlag, RejectsMalformedValues)
     char *argvb[] = {b0, b1};
     int argcb = 2;
     EXPECT_THROW(parseJobsFlag(argcb, argvb), std::invalid_argument);
+
+    // The whole value must be a count that fits an unsigned.
+    for (const char *bad : {"-j4x", "--jobs=3abc", "--jobs=99999999999",
+                            "-j-2", "-j+2", "-j 2"}) {
+        std::string arg = bad;
+        char c0[] = "prog";
+        char *argvc[] = {c0, arg.data()};
+        int argcc = 2;
+        EXPECT_THROW(parseJobsFlag(argcc, argvc), std::invalid_argument)
+            << bad;
+    }
 }
 
 TEST(BaselineMemo, ConcurrentRequestsRunBaselineExactlyOnce)

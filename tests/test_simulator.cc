@@ -140,16 +140,17 @@ TEST(Simulator, MarkovConfigurationsConstruct)
 
 TEST(Simulator, UnboundedKnobFailsConstructionNamingTheKey)
 {
-    // "-1" parses to 2^32-1 through stoull; a width or degree that
-    // large used to spin the first scan or miss. The machine must
-    // refuse it up front, naming the key.
+    // 4294967295 is what "-1" used to parse to before the config
+    // parser rejected signs; a width or degree that large used to
+    // spin the first scan or miss. The machine must refuse it up
+    // front, naming the key.
     const std::vector<std::vector<std::string>> cases = {
-        {"cdp.next_lines=-1"},
+        {"cdp.next_lines=4294967295"},
         {"cdp.next_lines=100000"},
         {"cdp.prev_lines=64"},
-        {"stride.degree=-1"},
+        {"stride.degree=4294967295"},
         {"stride.policy=nextline", "stride.degree=65"},
-        {"markov.enabled=1", "markov.fanout=-1"},
+        {"markov.enabled=1", "markov.fanout=4294967295"},
     };
     for (const auto &args : cases) {
         SimConfig c = smallConfig();
@@ -162,6 +163,19 @@ TEST(Simulator, UnboundedKnobFailsConstructionNamingTheKey)
         try {
             Simulator sim(c);
             ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+    // "-1" itself no longer reaches the machine: parsing refuses it,
+    // again naming the key.
+    for (const char *key :
+         {"cdp.next_lines", "stride.degree", "markov.fanout"}) {
+        SimConfig c = smallConfig();
+        try {
+            c.applyOverride(key, "-1");
+            ADD_FAILURE() << key << "=-1 was accepted";
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
                 << e.what();

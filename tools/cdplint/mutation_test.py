@@ -73,7 +73,7 @@ CFG_MUTATIONS = [
     # call loses its quiesce.
     ("quiesce-before-snapshot", "bench/bench_common.cc",
      ".quiesce();", "all",
-     {("bench/bench_common.cc", 202)}),
+     {("bench/bench_common.cc", 224)}),
     # Rot both requires_quiesced annotations off the checkpoint
     # writers: the raw memsys->saveState inside resurfaces.
     ("quiesce-before-snapshot", "src/snapshot/snapshot.cc",
