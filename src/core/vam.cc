@@ -1,5 +1,6 @@
 #include "core/vam.hh"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,7 +18,7 @@ Vam::Vam(const VamConfig &cfg) : cfg(cfg)
 {
     if (cfg.compareBits == 0 || cfg.compareBits > 31)
         throw std::invalid_argument("Vam: compareBits must be in [1,31]");
-    if (cfg.compareBits + cfg.filterBits > 32)
+    if (cfg.filterBits > 32 - cfg.compareBits) // no unsigned wrap
         throw std::invalid_argument("Vam: compare+filter bits exceed 32");
     if (cfg.alignBits > 4)
         throw std::invalid_argument("Vam: alignBits must be <= 4");
@@ -26,21 +27,9 @@ Vam::Vam(const VamConfig &cfg) : cfg(cfg)
 
     alignMask = (1u << cfg.alignBits) - 1;
     compareShift = 32 - cfg.compareBits;
-    compareMax = (cfg.compareBits == 32)
-                     ? 0xffffffffu
-                     : ((1u << cfg.compareBits) - 1);
+    compareMax = (1u << cfg.compareBits) - 1;
     filterShift = 32 - cfg.compareBits - cfg.filterBits;
-    filterMask = cfg.filterBits ? ((1u << cfg.filterBits) - 1) : 0;
-    level = detectSimdLevel();
-}
-
-void
-Vam::forceSimdLevel(VamSimdLevel l)
-{
-    if (static_cast<int>(l) > static_cast<int>(detectSimdLevel()))
-        throw std::invalid_argument(
-            "Vam: requested SIMD level unsupported by this build/host");
-    level = l;
+    filterMask = (1u << cfg.filterBits) - 1;
 }
 
 VamVerdict
@@ -75,39 +64,35 @@ Vam::classify(std::uint32_t word, Addr trigger_ea) const
 }
 
 VamHits
-Vam::scanLineScalar(const std::uint8_t *line, Addr trigger_ea) const
+Vam::scanLine(const std::uint8_t *line, Addr trigger_ea) const
 {
-    VamHits out;
+    static_assert(lineBytes - wordBytes < 64,
+                  "every word offset of a line needs a mask bit");
+
+    // classify() without branches. With filterBits == 0 both region
+    // tests reject, as classify() does.
+    const std::uint32_t ea_top =
+        static_cast<std::uint32_t>(trigger_ea) >> compareShift;
+    std::uint64_t mask = 0;
     for (unsigned off = 0; off + wordBytes <= lineBytes;
          off += cfg.scanStep) {
         std::uint32_t word;
         std::memcpy(&word, line + off, wordBytes);
-        if (isCandidate(word, trigger_ea))
-            out.push_back(static_cast<Addr>(word));
+        const std::uint32_t top = word >> compareShift;
+        const std::uint32_t filt = (word >> filterShift) & filterMask;
+        const bool reject = ((top == 0) & (filt == 0)) |
+                            ((top == compareMax) & (filt == filterMask));
+        const bool cand =
+            ((word & alignMask) == 0) & (top == ea_top) & !reject;
+        mask |= static_cast<std::uint64_t>(cand) << off;
     }
-    return out;
-}
 
-VamHits
-Vam::scanLine(const std::uint8_t *line, Addr trigger_ea) const
-{
-    if (level == VamSimdLevel::Scalar)
-        return scanLineScalar(line, trigger_ea);
-
-    // The kernel classifies every word offset of the line at once;
-    // walking the stepped offsets against the mask reproduces the
-    // scalar path's output order and values exactly.
-    const std::uint64_t mask = level == VamSimdLevel::Avx2
-                                   ? candidateMaskAvx2(line, trigger_ea)
-                                   : candidateMaskSse2(line, trigger_ea);
+    // Offsets ascend with bit position, so lowest-first is scan order.
     VamHits out;
-    for (unsigned off = 0; off + wordBytes <= lineBytes;
-         off += cfg.scanStep) {
-        if ((mask >> off) & 1u) {
-            std::uint32_t word;
-            std::memcpy(&word, line + off, wordBytes);
-            out.push_back(static_cast<Addr>(word));
-        }
+    for (; mask != 0; mask &= mask - 1) {
+        std::uint32_t word;
+        std::memcpy(&word, line + std::countr_zero(mask), wordBytes);
+        out.push_back(static_cast<Addr>(word));
     }
     return out;
 }

@@ -54,21 +54,6 @@ enum class VamVerdict
     FilteredOne,     //!< all-one region, filter bits all one
 };
 
-/**
- * Dispatch level of the scanLine kernel. The paper's VAM is
- * branch-free hardware operating on all words of a line at once
- * (Figure 5), which maps directly onto SIMD lanes; the kernels are
- * bit-exact with the scalar reference (tests/test_vam_simd.cc) and
- * selected per Vam instance at construction — never through mutable
- * global state.
- */
-enum class VamSimdLevel
-{
-    Scalar, //!< portable reference loop (also the CDP_SIMD=OFF build)
-    Sse2,   //!< 4-lane kernel (x86-64 baseline)
-    Avx2,   //!< 8-lane kernel (runtime-detected)
-};
-
 /** Most words one line scan can examine (a 1-byte scan step). */
 constexpr unsigned maxScanWords = lineBytes - wordBytes + 1;
 
@@ -84,7 +69,11 @@ class Vam
   public:
     explicit Vam(const VamConfig &cfg = VamConfig{});
 
-    /** Full classification of one word against a trigger EA. */
+    /**
+     * Full classification of one word against a trigger EA. The
+     * reference for scanLine: the tests check that a scan returns
+     * exactly the stepped words this accepts.
+     */
     VamVerdict classify(std::uint32_t word, Addr trigger_ea) const;
 
     /** Shorthand: classify(...) == Candidate. */
@@ -100,33 +89,12 @@ class Vam
      *        caused the fill
      * @return the candidate pointer values found, in scan order
      *         (held inline, so a scan never allocates)
+     *
+     * Evaluates classify()'s predicate at every stepped offset
+     * without branches into a bitmap of byte offsets, then emits the
+     * set bits lowest first, which is scan order.
      */
     VamHits scanLine(const std::uint8_t *line, Addr trigger_ea) const;
-
-    /**
-     * The portable reference implementation of scanLine (the scalar
-     * word loop). Public so the SIMD differential property tests can
-     * compare every dispatch level against it.
-     */
-    VamHits scanLineScalar(const std::uint8_t *line,
-                           Addr trigger_ea) const;
-
-    /**
-     * Highest dispatch level this build + host supports: Scalar when
-     * the build disables CDP_SIMD (or targets a non-x86-64 machine),
-     * else Sse2, else Avx2 when the CPU advertises it.
-     */
-    static VamSimdLevel detectSimdLevel();
-
-    /** The level this instance dispatches scanLine through. */
-    VamSimdLevel simdLevel() const { return level; }
-
-    /**
-     * Test hook: pin the dispatch level. Levels above
-     * detectSimdLevel() throw std::invalid_argument (the kernel
-     * would fault on an unsupporting host).
-     */
-    void forceSimdLevel(VamSimdLevel l);
 
     const VamConfig &config() const { return cfg; }
 
@@ -137,24 +105,12 @@ class Vam
     }
 
   private:
-    /**
-     * Bit @c off set = the word at byte offset @c off of @p line is a
-     * VAM candidate, for every off in [0, lineBytes - wordBytes].
-     * SIMD kernels (src/core/vam_simd.cc); bits above that range are
-     * unspecified and never read.
-     */
-    std::uint64_t candidateMaskSse2(const std::uint8_t *line,
-                                    Addr trigger_ea) const;
-    std::uint64_t candidateMaskAvx2(const std::uint8_t *line,
-                                    Addr trigger_ea) const;
-
     VamConfig cfg;
     std::uint32_t alignMask;   //!< low bits that must be zero
     unsigned compareShift;     //!< 32 - compareBits
     std::uint32_t compareMax;  //!< all-ones value of the compare field
     unsigned filterShift;      //!< 32 - compareBits - filterBits
     std::uint32_t filterMask;  //!< mask of the filter field
-    VamSimdLevel level;        //!< per-instance scanLine dispatch
 };
 
 } // namespace cdp

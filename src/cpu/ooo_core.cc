@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "snapshot/ckpt_io.hh"
@@ -93,6 +94,14 @@ OooCore::OooCore(const CoreConfig &cfg, UopSource &source, CoreMemIf &mem,
                        name + ".fetch_stall_cycles",
                        "cycles fetch was squashed by a mispredict")
 {
+    // A zero width or buffer never issues a uop: the run would spin.
+    const auto atLeastOne = [](unsigned n, const char *key) {
+        if (n == 0)
+            throw std::invalid_argument(std::string(key) + " must be >= 1");
+    };
+    atLeastOne(cfg.issueWidth, "core.issue_width");
+    atLeastOne(cfg.robEntries, "core.rob");
+    atLeastOne(cfg.loadBuffer, "core.load_buffer");
     robBuf.resize(cfg.robEntries);
 }
 

@@ -1,6 +1,7 @@
 #include "memsys/bus.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "snapshot/ckpt_io.hh"
 
@@ -15,6 +16,10 @@ Bus::Bus(Cycle latency_cycles, Cycle occupancy_cycles, StatGroup *stats,
       cyclesBusy(stats ? *stats : dummyGroup, name + ".busy_cycles",
                  "cycles the bus was occupied")
 {
+    // Tie-freedom of the fill schedule (DESIGN.md §12) needs every
+    // transfer to hold the bus for at least one cycle.
+    if (occupancy == 0)
+        throw std::invalid_argument("mem.bus_occupancy must be >= 1");
 }
 
 Cycle

@@ -1,5 +1,7 @@
 #include "prefetch/stride_prefetcher.hh"
 
+#include <stdexcept>
+
 #include "snapshot/ckpt_io.hh"
 
 namespace cdp
@@ -15,6 +17,8 @@ StridePrefetcher::StridePrefetcher(unsigned table_entries, unsigned degree,
       issued(stats ? *stats : dummyGroup, name + ".issued",
              "stride prefetches issued")
 {
+    if (table.empty())
+        throw std::invalid_argument("stride.entries must be >= 1");
     reservePredictions(degree, "stride.degree");
 }
 

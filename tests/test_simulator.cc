@@ -151,6 +151,14 @@ TEST(Simulator, UnboundedKnobFailsConstructionNamingTheKey)
         {"stride.degree=4294967295"},
         {"stride.policy=nextline", "stride.degree=65"},
         {"markov.enabled=1", "markov.fanout=4294967295"},
+        // Zero sizes: a zero width or buffer never issues a uop, a
+        // zero stride table has no slot to index, and a zero-cycle
+        // bus transfer breaks the fill schedule's tie-freedom.
+        {"core.issue_width=0"},
+        {"core.rob=0"},
+        {"core.load_buffer=0"},
+        {"stride.entries=0"},
+        {"mem.bus_occupancy=0"},
     };
     for (const auto &args : cases) {
         SimConfig c = smallConfig();

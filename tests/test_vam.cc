@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/vam.hh"
@@ -22,6 +24,46 @@ paperConfig()
     return VamConfig{8, 4, 1, 2};
 }
 
+/**
+ * The differential check behind the VamProperty scan tests: scanLine
+ * must return exactly the words classify() accepts at each stepped
+ * offset — same candidates, same values, same order.
+ */
+void
+expectScanMatchesClassify(const Vam &vam, const std::uint8_t *line, Addr ea)
+{
+    std::vector<Addr> expect;
+    for (unsigned off = 0; off + wordBytes <= lineBytes;
+         off += vam.config().scanStep) {
+        std::uint32_t w;
+        std::memcpy(&w, line + off, wordBytes);
+        if (vam.isCandidate(w, ea))
+            expect.push_back(w);
+    }
+    const VamHits hits = vam.scanLine(line, ea);
+    EXPECT_EQ(std::vector<Addr>(hits.begin(), hits.end()), expect)
+        << "config " << vam.config().label() << " ea=0x" << std::hex << ea;
+}
+
+/** A word that passes/fails specific VAM checks, for seeding lines. */
+std::uint32_t
+boundaryWord(const VamConfig &cfg, unsigned kind, Addr ea)
+{
+    const unsigned cshift = 32 - cfg.compareBits;
+    const std::uint32_t topBits =
+        (static_cast<std::uint32_t>(ea) >> cshift) << cshift;
+    switch (kind % 8) {
+      case 0: return 0;                      // all-zero region, filter 0
+      case 1: return ~std::uint32_t{0};      // all-one region, filter 1s
+      case 2: return topBits;                // exact EA match
+      case 3: return topBits | 1;            // misaligned match
+      case 4: return 1;                      // tiny positive integer
+      case 5: return static_cast<std::uint32_t>(-2); // tiny negative
+      case 6: return topBits | (1u << (cfg.alignBits ? cfg.alignBits : 1));
+      default: return static_cast<std::uint32_t>(ea); // the EA itself
+    }
+}
+
 } // namespace
 
 TEST(VamConfig, Label)
@@ -35,6 +77,9 @@ TEST(VamConfig, Validation)
     EXPECT_THROW(Vam(VamConfig{0, 4, 1, 2}), std::invalid_argument);
     EXPECT_THROW(Vam(VamConfig{32, 4, 1, 2}), std::invalid_argument);
     EXPECT_THROW(Vam(VamConfig{30, 4, 1, 2}), std::invalid_argument);
+    // compareBits + filterBits must not wrap past the 32-bit check.
+    EXPECT_THROW(Vam(VamConfig{8, 4294967290u, 1, 2}),
+                 std::invalid_argument);
     EXPECT_THROW(Vam(VamConfig{8, 4, 9, 2}), std::invalid_argument);
     EXPECT_THROW(Vam(VamConfig{8, 4, 1, 0}), std::invalid_argument);
 }
@@ -298,23 +343,117 @@ TEST(VamProperty, FilterBitsTradeAccuracyForCoverageInLowRegion)
 
 TEST(VamProperty, ClassifyAgreesWithScanLine)
 {
-    // scanLine must report exactly the words classify() accepts at
-    // each scan-step offset.
-    Vam vam(VamConfig{8, 4, 1, 2});
+    Vam vam(paperConfig());
     Rng rng(37);
     for (int t = 0; t < 200; ++t) {
         std::uint8_t line[lineBytes];
         for (auto &b : line)
             b = static_cast<std::uint8_t>(rng.next32());
-        const Addr ea = 0x10000000 + (rng.next32() & 0xffff);
-        std::vector<Addr> expect;
-        for (unsigned off = 0; off + 4 <= lineBytes; off += 2) {
-            std::uint32_t w;
-            std::memcpy(&w, line + off, 4);
-            if (vam.isCandidate(w, ea))
-                expect.push_back(w);
+        expectScanMatchesClassify(vam, line,
+                                  0x10000000 + (rng.next32() & 0xffff));
+    }
+}
+
+/**
+ * The full configuration lattice: every compareBits, the reachable
+ * filterBits for it, every alignBits and a spread of scan steps. Half
+ * the lines are noise; in the other half every aligned word carries
+ * the EA's compare field, so candidates are dense at every width.
+ */
+TEST(VamProperty, ScanLineAgreesAcrossTheConfigLattice)
+{
+    Rng rng(20260809);
+    std::uint8_t line[lineBytes];
+
+    for (unsigned cb = 1; cb < 32; ++cb) {
+        const unsigned maxFb = std::min(8u, 32 - cb);
+        for (unsigned fb = 0; fb <= maxFb; ++fb) {
+            for (unsigned ab = 0; ab <= 4; ++ab) {
+                for (const unsigned step : {1u, 2u, 3u, 4u, 8u}) {
+                    const Vam vam(VamConfig{cb, fb, ab, step});
+                    for (unsigned t = 0; t < 2; ++t) {
+                        const Addr ea = rng.next32();
+                        const std::uint32_t top =
+                            (ea >> (32 - cb)) << (32 - cb);
+                        for (unsigned off = 0; off < lineBytes;
+                             off += wordBytes) {
+                            std::uint32_t w = rng.next32();
+                            if (t == 1)
+                                w = top | (w >> cb);
+                            std::memcpy(line + off, &w, wordBytes);
+                        }
+                        expectScanMatchesClassify(vam, line, ea);
+                    }
+                }
+            }
         }
-        const VamHits hits = vam.scanLine(line, ea);
-        EXPECT_EQ(std::vector<Addr>(hits.begin(), hits.end()), expect);
+    }
+}
+
+/**
+ * Every word slot of the line, in turn, holds each crafted boundary
+ * word (region edges, alignment edges, exact compare matches); byte
+ * and half-word steps also see the words straddling two of them.
+ * These are exactly the words where a predicate that is off by one
+ * bit would still pass random testing.
+ */
+TEST(VamProperty, BoundaryWordsAgreeAtEveryLineOffset)
+{
+    std::uint8_t line[lineBytes];
+
+    const VamConfig configs[] = {
+        paperConfig(),
+        {1, 0, 0, 1},       // minimal compare, no filter, byte scan
+        {31, 1, 4, 4},      // maximal compare field
+        {24, 8, 2, 2},      // wide filter field
+        {16, 0, 0, 1},      // region checks degenerate (filterBits=0)
+    };
+    const Addr eas[] = {0x0000'0000u, 0x0000'1000u, 0x7fff'fff0u,
+                        0x8000'0000u, 0xffff'ffccu, 0x1234'5678u};
+
+    for (const VamConfig &cfg : configs) {
+        const Vam vam(cfg);
+        for (const Addr ea : eas) {
+            // Place every boundary kind at every word offset; one
+            // scan checks 16 planted words at once.
+            for (unsigned kind = 0; kind < 8; ++kind) {
+                for (unsigned off = 0; off + wordBytes <= lineBytes;
+                     off += wordBytes) {
+                    const std::uint32_t w =
+                        boundaryWord(cfg, kind + off / wordBytes, ea);
+                    std::memcpy(line + off, &w, wordBytes);
+                }
+                expectScanMatchesClassify(vam, line, ea);
+            }
+        }
+    }
+}
+
+/**
+ * Unaligned trigger EAs and stepped scans: scan steps 1 and 2 examine
+ * words that straddle the 4-byte grid; no offset may be dropped or
+ * double-counted.
+ */
+TEST(VamProperty, SteppedScansCoverEveryResidue)
+{
+    Rng rng(7);
+    std::uint8_t line[lineBytes];
+    for (const unsigned step : {1u, 2u, 4u}) {
+        VamConfig cfg;
+        cfg.scanStep = step;
+        const Vam vam(cfg);
+        for (unsigned trial = 0; trial < 200; ++trial) {
+            // Half the trials: bias the line toward the EA's region
+            // so candidates are dense, not vanishingly rare.
+            const Addr ea = rng.next32();
+            for (unsigned off = 0; off + wordBytes <= lineBytes;
+                 off += wordBytes) {
+                std::uint32_t w = rng.next32();
+                if (trial % 2 == 0)
+                    w = (w & 0x00ff'fffeu) | (ea & 0xff00'0000u);
+                std::memcpy(line + off, &w, wordBytes);
+            }
+            expectScanMatchesClassify(vam, line, ea);
+        }
     }
 }
