@@ -31,6 +31,7 @@ struct ChaseRig
     PageTable pt{store, frames};
     HeapAllocator heap{store, pt, frames};
     Rng rng{7};
+    BuiltList list; //!< the generator walks it by reference
     std::unique_ptr<ListTraversalGen> gen;
     std::unique_ptr<MemorySystem> mem;
     std::unique_ptr<OooCore> core;
@@ -40,13 +41,12 @@ struct ChaseRig
                       unsigned alu_per_node)
         : cfg(c)
     {
-        BuiltList list = buildLinkedList(heap, nodes, node_bytes, 8,
-                                         run_len, rng);
+        list = buildLinkedList(heap, nodes, node_bytes, 8, run_len, rng);
         WalkOptions w;
         w.aluPerNode = alu_per_node;
         w.payloadLoads = 2;
-        gen = std::make_unique<ListTraversalGen>(heap, std::move(list),
-                                                 0x1000, 0, w, 99);
+        gen = std::make_unique<ListTraversalGen>(heap, list, 0x1000, 0, w,
+                                                 99);
         mem = std::make_unique<MemorySystem>(cfg, store, pt, &stats);
         core = std::make_unique<OooCore>(cfg.core, *gen, *mem, &stats);
     }

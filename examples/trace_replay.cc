@@ -43,8 +43,8 @@ main(int argc, char **argv)
             // Drive a fresh core+memory from the capturing wrapper so
             // the trace holds exactly the uops a full run consumes.
             StatGroup stats;
-            MemorySystem mem2(cfg, sim.heap().backingStore(),
-                              sim.heap().pageTable(), &stats);
+            MemorySystem mem2(cfg, sim.workloadImage().backingStore(),
+                              sim.workloadImage().pageTable(), &stats);
             OooCore core2(cfg.core, cap, mem2, &stats);
             recorded_cycles = core2.run(uops);
             cap.finish();
@@ -59,11 +59,12 @@ main(int argc, char **argv)
         std::printf("replaying ...\n");
         Cycle replayed_cycles = 0;
         {
-            Simulator rebuild(cfg); // rebuilds the identical heap
+            const auto image = sharedWorkloadImage(
+                cfg.workload, cfg.workloadSeed, cfg.physFrames);
             TraceSource replay(path);
             StatGroup stats;
-            MemorySystem mem2(cfg, rebuild.heap().backingStore(),
-                              rebuild.heap().pageTable(), &stats);
+            MemorySystem mem2(cfg, image->backingStore(),
+                              image->pageTable(), &stats);
             OooCore core2(cfg.core, replay, mem2, &stats);
             replayed_cycles = core2.run(uops);
             std::printf("replayed run took %llu cycles (source: %s)\n",

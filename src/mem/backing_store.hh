@@ -90,6 +90,13 @@ class BackingStore
         return lookup(pageNumber(pa));
     }
 
+    /** Read-only pageDataIfPresent(), for a shared (const) store. */
+    const std::uint8_t *
+    pageDataIfPresent(Addr pa) const
+    {
+        return lookup(pageNumber(pa));
+    }
+
     /** Serialize every materialized frame in page-number order. */
     void saveState(snap::Writer &w) const;
 

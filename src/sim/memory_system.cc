@@ -12,8 +12,9 @@
 namespace cdp
 {
 
-MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
-                           PageTable &page_table, StatGroup *stats)
+MemorySystem::MemorySystem(const SimConfig &cfg,
+                           const BackingStore &store,
+                           const PageTable &page_table, StatGroup *stats)
     : cfg(cfg), backing(store), pageTable(page_table),
       dl1(cfg.mem.l1Bytes, cfg.mem.l1Ways, stats, "dl1"),
       ul2(cfg.mem.l2Bytes, cfg.mem.l2Ways, stats, "ul2"),
@@ -51,6 +52,12 @@ MemorySystem::MemorySystem(const SimConfig &cfg, BackingStore &store,
                      "chain depth of issued content prefetches", 0, 16,
                      16)
 {
+    // A zero-entry bus or L2 queue would silently squash every
+    // prefetch; refuse it instead.
+    if (cfg.mem.busQueueSize == 0)
+        throw std::invalid_argument("mem.bus_queue must be >= 1");
+    if (cfg.mem.l2QueueSize == 0)
+        throw std::invalid_argument("mem.l2_queue must be >= 1");
     skipIdle = cfg.sched.mode == "wheel";
     cdpDepthHighWater = std::max(cfg.cdp.depthThreshold, 1u);
     StatGroup &sg = stats ? *stats : dummyStatGroup;

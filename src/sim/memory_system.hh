@@ -72,8 +72,8 @@ provDepthBucket(unsigned depth)
 class MemorySystem : public CoreMemIf
 {
   public:
-    MemorySystem(const SimConfig &cfg, BackingStore &store,
-                 PageTable &page_table, StatGroup *stats);
+    MemorySystem(const SimConfig &cfg, const BackingStore &store,
+                 const PageTable &page_table, StatGroup *stats);
 
     // CoreMemIf
     Cycle load(Addr pc, Addr vaddr, Cycle now, bool pointer_load) override;
@@ -294,8 +294,8 @@ class MemorySystem : public CoreMemIf
     /** Mutable only through reconfigureCdp(); geometry never changes. */
     SimConfig cfg;
     // cdplint: transient(backing, pageTable) -- wiring references; memory and page-table contents are checkpointed by their owners
-    BackingStore &backing;
-    PageTable &pageTable;
+    const BackingStore &backing;
+    const PageTable &pageTable;
 
     Cache dl1;
     Cache ul2;

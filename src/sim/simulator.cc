@@ -54,17 +54,12 @@ diffCounters(const MemorySystem::Counters &a,
 
 Simulator::Simulator(const SimConfig &cfg)
     : cfg(cfg),
-      frames(/*base_pa=*/0, cfg.physFrames, /*scatter=*/true,
-             cfg.workloadSeed ^ 0xabcdef),
-      pageTable(store, frames)
+      image(sharedWorkloadImage(cfg.workload, cfg.workloadSeed,
+                                cfg.physFrames)),
+      source(image->makeSource())
 {
-    heapAlloc = std::make_unique<HeapAllocator>(
-        store, pageTable, frames, defaultHeapBase,
-        /*align_noise=*/0.05, cfg.workloadSeed ^ 0x5eed);
-    source = makeBenchmark(findBenchmark(cfg.workload), *heapAlloc,
-                           cfg.workloadSeed);
-    memsys = std::make_unique<MemorySystem>(cfg, store, pageTable,
-                                            &statGroup);
+    memsys = std::make_unique<MemorySystem>(
+        cfg, image->backingStore(), image->pageTable(), &statGroup);
     cpu = std::make_unique<OooCore>(cfg.core, *source, *memsys,
                                     &statGroup);
 }

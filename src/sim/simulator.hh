@@ -1,9 +1,9 @@
 /**
  * @file
- * Top-level simulator: owns the simulated machine (memory, page
- * table, heap, workload, memory system, core) and runs the paper's
- * two-phase methodology — warm-up, statistics reset, measurement
- * (Section 2.2).
+ * Top-level simulator: wires the simulated machine (the workload's
+ * shared memory image, a uop source over it, memory system, core)
+ * and runs the paper's two-phase methodology — warm-up, statistics
+ * reset, measurement (Section 2.2).
  */
 
 #ifndef CDP_SIM_SIMULATOR_HH
@@ -14,14 +14,12 @@
 #include <string>
 
 #include "cpu/ooo_core.hh"
-#include "mem/backing_store.hh"
-#include "mem/frame_allocator.hh"
 #include "sim/config.hh"
 #include "sim/memory_system.hh"
 #include "stats/stat.hh"
-#include "vm/page_table.hh"
 #include "workloads/heap_allocator.hh"
 #include "workloads/suite.hh"
+#include "workloads/workload_image.hh"
 
 namespace cdp
 {
@@ -53,7 +51,9 @@ struct RunResult
 };
 
 /**
- * One fully wired simulated machine.
+ * One fully wired simulated machine. Its workload image is shared,
+ * read-only, with every other live Simulator of the same workload,
+ * workload seed and physical frame count.
  */
 class Simulator
 {
@@ -83,7 +83,9 @@ class Simulator
     StatGroup &stats() { return statGroup; }
     MemorySystem &memory() { return *memsys; }
     OooCore &core() { return *cpu; }
-    HeapAllocator &heap() { return *heapAlloc; }
+    const HeapAllocator &heap() const { return image->heap(); }
+    /** The shared workload image: memory, page table, heap. */
+    const WorkloadImage &workloadImage() const { return *image; }
     UopSource &workload() { return *source; }
 
     /**
@@ -108,9 +110,10 @@ class Simulator
      * machine geometry, baseline-prefetcher knobs — must match the
      * checkpointing run exactly; the sweep-fork knobs (cdp.*,
      * adaptive.*, trace.*, run lengths) may differ, enabling
-     * warm-once / fork-many sweeps. Throws snap::SnapshotError with a
-     * section-qualified diagnostic on any mismatch, corruption,
-     * truncation, or version skew.
+     * warm-once / fork-many sweeps. The workload image's sections are
+     * checked against the shared image, never loaded into it. Throws
+     * snap::SnapshotError with a section-qualified diagnostic on any
+     * mismatch, corruption, truncation, or version skew.
      */
     void restoreCheckpoint(std::istream &is);
 
@@ -126,10 +129,7 @@ class Simulator
 
     SimConfig cfg;
     StatGroup statGroup;
-    BackingStore store;
-    FrameAllocator frames;
-    PageTable pageTable;
-    std::unique_ptr<HeapAllocator> heapAlloc;
+    std::shared_ptr<const WorkloadImage> image;
     std::unique_ptr<UopSource> source;
     std::unique_ptr<MemorySystem> memsys;
     std::unique_ptr<OooCore> cpu;

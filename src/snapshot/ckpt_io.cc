@@ -1,8 +1,10 @@
 #include "snapshot/ckpt_io.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 namespace cdp
 {
@@ -162,6 +164,18 @@ Writer::rng(const Rng &r)
     r.getState(s0, s1);
     u64(s0);
     u64(s1);
+}
+
+std::string
+Writer::payloadOf(const std::function<void(Writer &)> &write,
+                  std::size_t size_hint)
+{
+    std::ostringstream header; // the staging writer emits nothing else
+    Writer w(header);
+    w.beginSection("PAYL");
+    w.buf.reserve(size_hint);
+    write(w);
+    return std::move(w.buf);
 }
 
 Reader::Reader(std::istream &is) : is(is)
@@ -366,6 +380,24 @@ Reader::expectStr(const std::string &expected, const char *what)
     if (found != expected)
         fail(std::string(what) + " mismatch: checkpoint has '" + found +
              "', this simulator has '" + expected + "'");
+}
+
+void
+Reader::expectBytes(const std::string &expected, const char *what)
+{
+    need(0);
+    const std::size_t n = std::min(expected.size(), payload.size() - pos);
+    const auto at = std::mismatch(expected.begin(), expected.begin() + n,
+                                  payload.begin() + pos);
+    const std::size_t same =
+        static_cast<std::size_t>(at.first - expected.begin());
+    if (same < expected.size()) {
+        pos += same;
+        fail(std::string(what) + " mismatch at byte " +
+             std::to_string(same) + " of " +
+             std::to_string(expected.size()));
+    }
+    pos += expected.size();
 }
 
 void

@@ -29,6 +29,7 @@
 #define CDP_SNAPSHOT_CKPT_IO_HH
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -88,6 +89,15 @@ class Writer
     /** The two raw xorshift128+ state words of @p r. */
     void rng(const Rng &r);
 
+    /**
+     * The payload bytes @p write stages into one section, unframed:
+     * what a component's saveState would put into a checkpoint.
+     * @p size_hint is the expected size (reserved up front).
+     */
+    static std::string
+    payloadOf(const std::function<void(Writer &)> &write,
+              std::size_t size_hint = 0);
+
   private:
     void raw(const void *p, std::size_t n);
 
@@ -138,6 +148,27 @@ class Reader
 
     /** String flavour of expectU64 (workload names etc.). */
     void expectStr(const std::string &expected, const char *what);
+
+    /**
+     * Require the next payload bytes to equal @p expected; a
+     * mismatch names @p what and the first differing byte.
+     */
+    void expectBytes(const std::string &expected, const char *what);
+
+    /**
+     * Require the next payload bytes to be exactly what
+     * @p obj.saveState writes. This is how a restore checks state it
+     * shares and never loads: the workload image (DESIGN.md §11).
+     */
+    template <typename T>
+    void
+    expectSaved(const T &obj, const char *what)
+    {
+        expectBytes(Writer::payloadOf(
+                        [&obj](Writer &w) { obj.saveState(w); },
+                        payload.size() - pos),
+                    what);
+    }
 
     /**
      * Throw SnapshotError for a semantic problem found by a component

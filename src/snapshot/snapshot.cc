@@ -118,19 +118,19 @@ Simulator::saveCheckpoint(std::ostream &os) const
     w.endSection();
 
     w.beginSection("STOR");
-    store.saveState(w);
+    image->backingStore().saveState(w);
     w.endSection();
 
     w.beginSection("FRAM");
-    frames.saveState(w);
+    image->frameAllocator().saveState(w);
     w.endSection();
 
     w.beginSection("PGTB");
-    pageTable.saveState(w);
+    image->pageTable().saveState(w);
     w.endSection();
 
     w.beginSection("HEAP");
-    heapAlloc->saveState(w);
+    image->heap().saveState(w);
     w.endSection();
 
     w.beginSection("WKLD");
@@ -153,6 +153,13 @@ Simulator::saveCheckpoint(std::ostream &os) const
     w.finish();
 }
 
+/*
+ * STOR, FRAM, PGTB, HEAP and the globals-segment allocator inside
+ * WKLD hold the workload image. They are a pure function of guarded
+ * knobs (workload, seed, physical frames) and no run writes simulated
+ * memory, so a restore compares them byte for byte against the
+ * shared image instead of loading them: other live machines read it.
+ */
 void
 Simulator::restoreCheckpoint(std::istream &is)
 {
@@ -168,19 +175,20 @@ Simulator::restoreCheckpoint(std::istream &is)
     r.leaveSection();
 
     r.enterSection("STOR");
-    store.loadState(r);
+    r.expectSaved(image->backingStore(), "workload image backing store");
     r.leaveSection();
 
     r.enterSection("FRAM");
-    frames.loadState(r);
+    r.expectSaved(image->frameAllocator(),
+                  "workload image frame allocator");
     r.leaveSection();
 
     r.enterSection("PGTB");
-    pageTable.loadState(r);
+    r.expectSaved(image->pageTable(), "workload image page table");
     r.leaveSection();
 
     r.enterSection("HEAP");
-    heapAlloc->loadState(r);
+    r.expectSaved(image->heap(), "workload image heap allocator");
     r.leaveSection();
 
     r.enterSection("WKLD");

@@ -3,7 +3,7 @@
 namespace cdp
 {
 
-PageWalker::PageWalker(PageTable &table, StatGroup *stats,
+PageWalker::PageWalker(const PageTable &table, StatGroup *stats,
                        const std::string &name)
     : table(table),
       walks(stats ? *stats : dummyGroup, name + ".walks",

@@ -39,7 +39,7 @@ struct WalkResult
 class PageWalker
 {
   public:
-    PageWalker(PageTable &table, StatGroup *stats = nullptr,
+    PageWalker(const PageTable &table, StatGroup *stats = nullptr,
                const std::string &name = "walker");
 
     /**
@@ -52,7 +52,7 @@ class PageWalker
     std::uint64_t faultCount() const { return faults.value(); }
 
   private:
-    PageTable &table;
+    const PageTable &table;
     StatGroup dummyGroup;
     Scalar walks;
     Scalar faults;

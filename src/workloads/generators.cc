@@ -33,11 +33,13 @@ BlockUopSource::loadQueue(snap::Reader &r)
 
 // ---------------------------------------------------------------- list
 
-ListTraversalGen::ListTraversalGen(HeapAllocator &heap, BuiltList list,
-                                   Addr pc_base, unsigned reg_base,
-                                   WalkOptions opts, std::uint64_t seed)
-    : heap(heap), list(std::move(list)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed), cur(this->list.head)
+ListTraversalGen::ListTraversalGen(const HeapAllocator &heap,
+                                   const BuiltList &list, Addr pc_base,
+                                   unsigned reg_base, WalkOptions opts,
+                                   std::uint64_t seed, Addr start)
+    : heap(heap), list(list), start(start ? start : list.head),
+      pcBase(pc_base), regBase(reg_base), opts(opts), rng(seed),
+      cur(this->start)
 {
 }
 
@@ -70,7 +72,7 @@ ListTraversalGen::emitBlock()
 
     cur = heap.read32(cur + list.nextOffset);
     if (cur == 0)
-        cur = list.head; // defensive: corrupt list
+        cur = start; // defensive: corrupt list
 }
 
 void
@@ -91,11 +93,12 @@ ListTraversalGen::loadState(snap::Reader &r)
 
 // ---------------------------------------------------------------- tree
 
-TreeSearchGen::TreeSearchGen(HeapAllocator &heap, BuiltTree tree,
-                             Addr pc_base, unsigned reg_base,
-                             WalkOptions opts, std::uint64_t seed)
-    : heap(heap), tree(std::move(tree)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed), cur(this->tree.root)
+TreeSearchGen::TreeSearchGen(const HeapAllocator &heap,
+                             const BuiltTree &tree, Addr pc_base,
+                             unsigned reg_base, WalkOptions opts,
+                             std::uint64_t seed)
+    : heap(heap), tree(tree), pcBase(pc_base), regBase(reg_base),
+      opts(opts), rng(seed), cur(tree.root)
 {
 }
 
@@ -151,11 +154,12 @@ TreeSearchGen::loadState(snap::Reader &r)
 
 // ---------------------------------------------------------------- hash
 
-HashLookupGen::HashLookupGen(HeapAllocator &heap, BuiltHash hash,
-                             Addr pc_base, unsigned reg_base,
-                             WalkOptions opts, std::uint64_t seed)
-    : heap(heap), hash(std::move(hash)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed)
+HashLookupGen::HashLookupGen(const HeapAllocator &heap,
+                             const BuiltHash &hash, Addr pc_base,
+                             unsigned reg_base, WalkOptions opts,
+                             std::uint64_t seed)
+    : heap(heap), hash(hash), pcBase(pc_base), regBase(reg_base),
+      opts(opts), rng(seed)
 {
 }
 
@@ -225,12 +229,12 @@ HashLookupGen::loadState(snap::Reader &r)
 
 // --------------------------------------------------------------- graph
 
-GraphWalkGen::GraphWalkGen(HeapAllocator &heap, BuiltGraph graph,
-                           Addr pc_base, unsigned reg_base,
-                           WalkOptions opts, std::uint64_t seed)
-    : heap(heap), graph(std::move(graph)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed),
-      cur(this->graph.nodes.front())
+GraphWalkGen::GraphWalkGen(const HeapAllocator &heap,
+                           const BuiltGraph &graph, Addr pc_base,
+                           unsigned reg_base, WalkOptions opts,
+                           std::uint64_t seed)
+    : heap(heap), graph(graph), pcBase(pc_base), regBase(reg_base),
+      opts(opts), rng(seed), cur(graph.nodes.front())
 {
 }
 
@@ -281,11 +285,12 @@ GraphWalkGen::loadState(snap::Reader &r)
 
 // --------------------------------------------------------------- btree
 
-BTreeSearchGen::BTreeSearchGen(HeapAllocator &heap, BuiltBTree tree,
-                               Addr pc_base, unsigned reg_base,
-                               WalkOptions opts, std::uint64_t seed)
-    : heap(heap), tree(std::move(tree)), pcBase(pc_base),
-      regBase(reg_base), opts(opts), rng(seed)
+BTreeSearchGen::BTreeSearchGen(const HeapAllocator &heap,
+                               const BuiltBTree &tree, Addr pc_base,
+                               unsigned reg_base, WalkOptions opts,
+                               std::uint64_t seed)
+    : heap(heap), tree(tree), pcBase(pc_base), regBase(reg_base),
+      opts(opts), rng(seed)
 {
 }
 
@@ -493,9 +498,15 @@ MixGen::MixGen(std::string mix_name, std::uint64_t seed)
 }
 
 void
-MixGen::adopt(std::unique_ptr<HeapAllocator> aux)
+MixGen::addSegment(const HeapAllocator &segment)
 {
-    auxiliaries.push_back(std::move(aux));
+    segments.push_back(&segment);
+}
+
+void
+MixGen::adopt(std::shared_ptr<const void> keep)
+{
+    owner = std::move(keep);
 }
 
 void
@@ -534,9 +545,9 @@ MixGen::saveState(snap::Writer &w) const
         w.str(src->name());
         src->saveState(w);
     }
-    w.u64(auxiliaries.size());
-    for (const auto &aux : auxiliaries)
-        aux->saveState(w);
+    w.u64(segments.size());
+    for (const HeapAllocator *seg : segments)
+        seg->saveState(w);
 }
 
 void
@@ -548,9 +559,9 @@ MixGen::loadState(snap::Reader &r)
         r.expectStr(src->name(), "mix sub-source");
         src->loadState(r);
     }
-    r.expectU64(auxiliaries.size(), "mix auxiliary-allocator count");
-    for (const auto &aux : auxiliaries)
-        aux->loadState(r);
+    r.expectU64(segments.size(), "mix segment-allocator count");
+    for (const HeapAllocator *seg : segments)
+        r.expectSaved(*seg, "workload image segment allocator");
 }
 
 } // namespace cdp

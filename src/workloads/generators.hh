@@ -11,7 +11,10 @@
  * chains and genuine MLP for independent streams.
  *
  * Generators are combined by MixGen with per-source weights to form
- * the Table 2 benchmark suite (suite.hh).
+ * the Table 2 benchmark suite (suite.hh). They only read simulated
+ * memory, through const references to the heap and the built
+ * structures, which must outlive them; many generators, on many
+ * threads, can walk one shared workload image (workload_image.hh).
  */
 
 #ifndef CDP_WORKLOADS_GENERATORS_HH
@@ -139,9 +142,10 @@ struct WalkOptions
 class ListTraversalGen : public BlockUopSource
 {
   public:
-    ListTraversalGen(HeapAllocator &heap, BuiltList list, Addr pc_base,
-                     unsigned reg_base, WalkOptions opts,
-                     std::uint64_t seed);
+    /** @param start first node to visit; 0 means the list head */
+    ListTraversalGen(const HeapAllocator &heap, const BuiltList &list,
+                     Addr pc_base, unsigned reg_base, WalkOptions opts,
+                     std::uint64_t seed, Addr start = 0);
 
     const char *name() const override { return "list-traversal"; }
 
@@ -152,9 +156,10 @@ class ListTraversalGen : public BlockUopSource
     void emitBlock() override;
 
   private:
-    // cdplint: transient(heap, list, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
-    HeapAllocator &heap;
-    BuiltList list;
+    // cdplint: transient(heap, list, start, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
+    const HeapAllocator &heap;
+    const BuiltList &list;
+    Addr start; //!< where the walk begins and restarts
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
@@ -170,8 +175,8 @@ class ListTraversalGen : public BlockUopSource
 class TreeSearchGen : public BlockUopSource
 {
   public:
-    TreeSearchGen(HeapAllocator &heap, BuiltTree tree, Addr pc_base,
-                  unsigned reg_base, WalkOptions opts,
+    TreeSearchGen(const HeapAllocator &heap, const BuiltTree &tree,
+                  Addr pc_base, unsigned reg_base, WalkOptions opts,
                   std::uint64_t seed);
 
     const char *name() const override { return "tree-search"; }
@@ -184,8 +189,8 @@ class TreeSearchGen : public BlockUopSource
 
   private:
     // cdplint: transient(heap, tree, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
-    HeapAllocator &heap;
-    BuiltTree tree;
+    const HeapAllocator &heap;
+    const BuiltTree &tree;
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
@@ -200,8 +205,8 @@ class TreeSearchGen : public BlockUopSource
 class HashLookupGen : public BlockUopSource
 {
   public:
-    HashLookupGen(HeapAllocator &heap, BuiltHash hash, Addr pc_base,
-                  unsigned reg_base, WalkOptions opts,
+    HashLookupGen(const HeapAllocator &heap, const BuiltHash &hash,
+                  Addr pc_base, unsigned reg_base, WalkOptions opts,
                   std::uint64_t seed);
 
     const char *name() const override { return "hash-lookup"; }
@@ -214,8 +219,8 @@ class HashLookupGen : public BlockUopSource
 
   private:
     // cdplint: transient(heap, hash, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
-    HeapAllocator &heap;
-    BuiltHash hash;
+    const HeapAllocator &heap;
+    const BuiltHash &hash;
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
@@ -234,8 +239,8 @@ class HashLookupGen : public BlockUopSource
 class GraphWalkGen : public BlockUopSource
 {
   public:
-    GraphWalkGen(HeapAllocator &heap, BuiltGraph graph, Addr pc_base,
-                 unsigned reg_base, WalkOptions opts,
+    GraphWalkGen(const HeapAllocator &heap, const BuiltGraph &graph,
+                 Addr pc_base, unsigned reg_base, WalkOptions opts,
                  std::uint64_t seed);
 
     const char *name() const override { return "graph-walk"; }
@@ -248,8 +253,8 @@ class GraphWalkGen : public BlockUopSource
 
   private:
     // cdplint: transient(heap, graph, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
-    HeapAllocator &heap;
-    BuiltGraph graph;
+    const HeapAllocator &heap;
+    const BuiltGraph &graph;
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
@@ -266,8 +271,8 @@ class GraphWalkGen : public BlockUopSource
 class BTreeSearchGen : public BlockUopSource
 {
   public:
-    BTreeSearchGen(HeapAllocator &heap, BuiltBTree tree, Addr pc_base,
-                   unsigned reg_base, WalkOptions opts,
+    BTreeSearchGen(const HeapAllocator &heap, const BuiltBTree &tree,
+                   Addr pc_base, unsigned reg_base, WalkOptions opts,
                    std::uint64_t seed);
 
     const char *name() const override { return "btree-search"; }
@@ -280,8 +285,8 @@ class BTreeSearchGen : public BlockUopSource
 
   private:
     // cdplint: transient(heap, tree, pcBase, regBase, opts) -- workload shape is rebuilt identically at construction from the same seed and config; only the walk cursor and RNG travel
-    HeapAllocator &heap;
-    BuiltBTree tree;
+    const HeapAllocator &heap;
+    const BuiltBTree &tree;
     Addr pcBase;
     unsigned regBase;
     WalkOptions opts;
@@ -396,30 +401,37 @@ class MixGen : public UopSource
     void add(std::unique_ptr<BlockUopSource> src, double weight);
 
     /**
-     * Take ownership of an auxiliary object (e.g. the allocator of a
-     * secondary address-space segment) that sub-sources reference.
+     * Checkpoint the bump state of @p segment (the allocator of a
+     * secondary address-space segment) with this mix. Restore
+     * checks it, never loads it: the segment is shared, read-only.
      */
-    void adopt(std::unique_ptr<HeapAllocator> aux);
+    void addSegment(const HeapAllocator &segment);
+
+    /**
+     * Keep @p owner alive as long as this mix: whatever the
+     * sub-sources reference (built structures, segment allocators).
+     */
+    void adopt(std::shared_ptr<const void> owner);
 
     Uop next() override;
     const char *name() const override { return mixName.c_str(); }
 
     /**
      * Serialize the mix RNG, every sub-source (name-guarded so a
-     * layout change fails loudly), and the adopted auxiliary
-     * allocators.
+     * layout change fails loudly), and the segment allocators.
      */
     void saveState(snap::Writer &w) const override;
     void loadState(snap::Reader &r) override;
 
   private:
-    // cdplint: transient(mixName, cumWeights, totalWeight) -- mix recipe is construction-time; only the constituent sources and the selector RNG travel
+    // cdplint: transient(mixName, cumWeights, totalWeight, owner) -- mix recipe is construction-time; only the constituent sources, the selector RNG and the (checked) segment state travel
     std::string mixName;
     Rng rng;
     std::vector<std::unique_ptr<BlockUopSource>> sources;
-    std::vector<std::unique_ptr<HeapAllocator>> auxiliaries;
+    std::vector<const HeapAllocator *> segments;
     std::vector<double> cumWeights;
     double totalWeight = 0.0;
+    std::shared_ptr<const void> owner;
 };
 
 } // namespace cdp

@@ -40,12 +40,6 @@ HeapAllocator::alloc(Addr bytes, Addr align)
 }
 
 void
-HeapAllocator::sizeTable()
-{
-    pages.resize((mappedTo - base) >> pageShift);
-}
-
-void
 HeapAllocator::ensureMapped(Addr va, Addr bytes)
 {
     if (va < base)
@@ -60,7 +54,7 @@ HeapAllocator::ensureMapped(Addr va, Addr bytes)
     for (Addr page = mappedTo; page <= last; page += pageBytes)
         table.map(page, frames.allocate());
     mappedTo = last + pageBytes;
-    sizeTable();
+    pages.resize((mappedTo - base) >> pageShift);
 }
 
 Addr
@@ -72,25 +66,25 @@ HeapAllocator::translateOrThrow(Addr va) const
     return *pa;
 }
 
+std::uint8_t *
+HeapAllocator::materialize(Addr va)
+{
+    std::uint8_t *host = store.pageData(translateOrThrow(va));
+    const Addr idx = (va - base) >> pageShift;
+    if (idx < pages.size())
+        pages[idx] = host;
+    return host;
+}
+
 std::uint32_t
 HeapAllocator::readSlow(Addr va) const
 {
-    if (pageOffset(va) <= pageBytes - 4) {
-        std::uint8_t *host = store.pageDataIfPresent(translateOrThrow(va));
-        if (!host)
-            return 0; // never-written frame reads as zero; stays absent
-        if (std::uint8_t **e = entry(va))
-            *e = host;
-        std::uint32_t v;
-        std::memcpy(&v, host + pageOffset(va), 4);
-        return v;
-    }
+    // A page outside the table (never written, or not the heap's)
+    // and a word straddling two pages: assembled byte by byte, and an
+    // absent frame reads as zero and stays absent.
     std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(
-                 store.read8(translateOrThrow(va + i)))
-             << (8 * i);
-    }
+    for (unsigned i = 0; i < 4; ++i)
+        v |= static_cast<std::uint32_t>(read8(va + i)) << (8 * i);
     return v;
 }
 
@@ -98,17 +92,11 @@ void
 HeapAllocator::writeSlow(Addr va, std::uint32_t v)
 {
     if (pageOffset(va) <= pageBytes - 4) {
-        // The first write materializes the frame, zero-filled.
-        std::uint8_t *host = store.pageData(translateOrThrow(va));
-        if (std::uint8_t **e = entry(va))
-            *e = host;
-        std::memcpy(host + pageOffset(va), &v, 4);
+        std::memcpy(materialize(va) + pageOffset(va), &v, 4);
         return;
     }
-    for (unsigned i = 0; i < 4; ++i) {
-        store.write8(translateOrThrow(va + i),
-                     static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    for (unsigned i = 0; i < 4; ++i)
+        write8(va + i, static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
 std::uint8_t
@@ -120,7 +108,7 @@ HeapAllocator::read8(Addr va) const
 void
 HeapAllocator::write8(Addr va, std::uint8_t v)
 {
-    store.write8(translateOrThrow(va), v);
+    materialize(va)[pageOffset(va)] = v;
 }
 
 void
@@ -145,8 +133,14 @@ HeapAllocator::loadState(snap::Reader &r)
                "bump pointer");
     r.rng(rng);
     // The restored frames replace the ones the table points at.
-    pages.clear();
-    sizeTable();
+    pages.assign((mappedTo - base) >> pageShift, nullptr);
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+        const auto pa =
+            table.translate(base + (static_cast<Addr>(i) << pageShift));
+        if (!pa)
+            r.fail("heap page below the mapped end is not mapped");
+        pages[i] = store.pageDataIfPresent(*pa);
+    }
 }
 
 } // namespace cdp

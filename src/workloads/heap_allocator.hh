@@ -18,7 +18,9 @@
  * prefetcher later scans. Those frames are found through a
  * direct-indexed table of host page pointers over the mapped heap
  * (DESIGN.md "workloads-layer hot path"), so a heap access is one
- * indexed load, with no page-table walk and no hashing.
+ * indexed load, with no page-table walk and no hashing. The table is
+ * filled as frames materialize, never by a read, so reads are pure
+ * and a built heap can be shared read-only between threads.
  */
 
 #ifndef CDP_WORKLOADS_HEAP_ALLOCATOR_HH
@@ -83,7 +85,7 @@ class HeapAllocator
     read32(Addr va) const
     {
         if (pageOffset(va) <= pageBytes - 4) {
-            if (const std::uint8_t *host = cachedPage(va)) {
+            if (const std::uint8_t *host = hostPage(va)) {
                 std::uint32_t v;
                 std::memcpy(&v, host + pageOffset(va), 4);
                 return v;
@@ -97,7 +99,7 @@ class HeapAllocator
     write32(Addr va, std::uint32_t v)
     {
         if (pageOffset(va) <= pageBytes - 4) {
-            if (std::uint8_t *host = cachedPage(va)) {
+            if (std::uint8_t *host = hostPage(va)) {
                 std::memcpy(host + pageOffset(va), &v, 4);
                 return;
             }
@@ -121,28 +123,28 @@ class HeapAllocator
 
     /** Serialize bump-pointer state + RNG (checkpointing). */
     void saveState(snap::Writer &w) const;
+
+    /**
+     * Restore bump-pointer state + RNG. The backing store and page
+     * table must already hold the checkpoint's frames and mappings.
+     */
     void loadState(snap::Reader &r);
 
   private:
-    /** Table slot of the page holding @p va, or nullptr outside it. */
-    std::uint8_t **
-    entry(Addr va) const
+    /** Host bytes of @p va's page, or nullptr if not materialized. */
+    std::uint8_t *
+    hostPage(Addr va) const
     {
         // Below base the subtraction wraps past every index.
         const Addr idx = (va - base) >> pageShift;
-        return idx < pages.size() ? &pages[idx] : nullptr;
+        return idx < pages.size() ? pages[idx] : nullptr;
     }
 
-    /** Host bytes of @p va's page if the table holds them. */
-    std::uint8_t *
-    cachedPage(Addr va) const
-    {
-        std::uint8_t *const *e = entry(va);
-        return e ? *e : nullptr;
-    }
-
-    /** Size the table to cover [base, mappedTo). */
-    void sizeTable();
+    /**
+     * Host bytes of @p va's page, materializing its frame zero-filled
+     * and recording it in the table.
+     */
+    std::uint8_t *materialize(Addr va);
 
     std::uint32_t readSlow(Addr va) const;
     void writeSlow(Addr va, std::uint32_t v);
@@ -159,19 +161,19 @@ class HeapAllocator
     double alignNoise;
     Rng rng;
 
-    // cdplint: transient(pages) -- host-pointer cache over the page table and the backing store's frames; rebuilt empty by loadState() and refilled on first touch
+    // cdplint: transient(pages) -- host-pointer index over the page table and the backing store's frames; loadState() rebuilds it from the restored frames
     /**
      * Direct-indexed page table of the heap, one entry per page of
-     * [base, mappedTo). A page's host pointer is filled on its
-     * first write (or the first read of a frame that already
-     * exists), so a never-written page still reads as 0 without
-     * being materialized. Sized only by ensureMapped() and
-     * loadState(): the measured phase never grows it. The pointers
-     * stay valid because the page table has no unmap and frames
-     * never move until the backing store is restored, which comes
-     * with a loadState() here.
+     * [base, mappedTo). A page's host pointer is filled when its
+     * frame materializes, on the page's first write; a
+     * never-written page stays nullptr and reads as 0 without being
+     * materialized. Sized only by ensureMapped() and loadState():
+     * the measured phase never grows it. The pointers stay valid
+     * because the page table has no unmap and frames never move
+     * until the backing store is restored, which comes with a
+     * loadState() here.
      */
-    mutable std::vector<std::uint8_t *> pages;
+    std::vector<std::uint8_t *> pages;
 };
 
 } // namespace cdp

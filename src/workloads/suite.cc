@@ -218,11 +218,59 @@ findBenchmark(const std::string &name)
     throw std::invalid_argument("unknown benchmark: " + name);
 }
 
-std::unique_ptr<UopSource>
-makeBenchmark(const BenchmarkSpec &spec, HeapAllocator &heap,
+BuiltWorkload
+buildWorkload(const BenchmarkSpec &spec, HeapAllocator &heap,
               std::uint64_t seed)
 {
+    // One RNG feeds every builder in a fixed order, and frames are
+    // handed out in allocation order: both make the image a pure
+    // function of (spec, seed, physical frames).
     Rng build_rng(seed * 2654435761ull + 17);
+    BuiltWorkload b;
+    if (spec.listNodes && spec.wList > 0.0)
+        b.list = buildLinkedList(heap, spec.listNodes, spec.listNodeBytes,
+                                 spec.listNextOffset, spec.listRunLen,
+                                 build_rng);
+    if (spec.treeNodes && spec.wTree > 0.0)
+        b.tree = buildBinaryTree(heap, spec.treeNodes, spec.treeNodeBytes,
+                                 build_rng);
+    if (spec.hashNodes && spec.wHash > 0.0)
+        b.hash = buildHashTable(heap, spec.hashBuckets, spec.hashNodes,
+                                spec.hashNodeBytes, build_rng);
+    if (spec.graphNodes && spec.wGraph > 0.0)
+        b.graph = buildGraph(heap, spec.graphNodes, spec.graphNodeBytes,
+                             spec.graphMaxDegree, build_rng);
+    if (spec.btreeLeaves && spec.wBTree > 0.0)
+        b.btree = buildBTree(heap, spec.btreeLeaves, spec.btreeFanout,
+                             build_rng);
+    if (spec.strideKB && spec.wStride > 0.0)
+        b.strideRegion = buildDataRegion(heap, spec.strideKB * 1024,
+                                         DataKind::Floats, build_rng);
+    if (spec.randomKB && spec.wRandom > 0.0)
+        b.randomRegion = buildDataRegion(heap, spec.randomKB * 1024,
+                                         DataKind::RandomBits, build_rng);
+    // Low-region "globals" segment (static data at 0x00200000):
+    // a small intra-segment pointer web plus medium-integer data.
+    // This is the address region whose candidates the VAM *filter
+    // bits* arbitrate (Section 3.3): with few filter bits, genuine
+    // low-region pointers are rejected as small integers; with many,
+    // medium integers start masquerading as pointers.
+    b.globals = std::make_unique<HeapAllocator>(
+        heap.backingStore(), heap.pageTable(), heap.frameAllocator(),
+        /*heap_base=*/0x00200000, /*align_noise=*/0.0, seed ^ 0x910b);
+    if (spec.hotKB) {
+        b.hotBytes = spec.hotKB * 1024;
+        b.hotBase = buildDataRegion(*b.globals, b.hotBytes,
+                                    DataKind::MediumInts, build_rng);
+    }
+    b.globalList = buildLinkedList(*b.globals, 1'500, 32, 8, 4, build_rng);
+    return b;
+}
+
+std::unique_ptr<MixGen>
+makeWorkloadSource(const BenchmarkSpec &spec, const HeapAllocator &heap,
+                   const BuiltWorkload &built, std::uint64_t seed)
+{
     auto mix = std::make_unique<MixGen>(spec.name, seed + 1);
 
     WalkOptions walk;
@@ -230,112 +278,86 @@ makeBenchmark(const BenchmarkSpec &spec, HeapAllocator &heap,
     walk.payloadLoads = spec.payloadLoads;
     walk.fpFrac = spec.fpFrac;
 
-    if (spec.listNodes && spec.wList > 0.0) {
-        BuiltList list =
-            buildLinkedList(heap, spec.listNodes, spec.listNodeBytes,
-                            spec.listNextOffset, spec.listRunLen,
-                            build_rng);
+    if (built.list) {
         // Two independent walker contexts over the same structure
-        // (distinct register windows): real programs overlap several
-        // traversals, which is where pointer-chase MLP comes from.
-        BuiltList list2 = list;
-        if (list2.nodes.size() > 1)
-            list2.head = list2.nodes[list2.nodes.size() / 2];
-        mix->add(std::make_unique<ListTraversalGen>(
-                     heap, std::move(list), 0x1000, 0, walk, seed + 2),
+        // (distinct register windows, the second starting mid-list):
+        // real programs overlap several traversals, which is where
+        // pointer-chase MLP comes from.
+        const BuiltList &list = *built.list;
+        const Addr mid =
+            list.nodes.size() > 1 ? list.nodes[list.nodes.size() / 2] : 0;
+        mix->add(std::make_unique<ListTraversalGen>(heap, list, 0x1000, 0,
+                                                    walk, seed + 2),
                  spec.wList / 2);
         mix->add(std::make_unique<ListTraversalGen>(
-                     heap, std::move(list2), 0x1100, 24, walk,
-                     seed + 12),
+                     heap, list, 0x1100, 24, walk, seed + 12, mid),
                  spec.wList / 2);
     }
-    if (spec.treeNodes && spec.wTree > 0.0) {
-        BuiltTree tree = buildBinaryTree(heap, spec.treeNodes,
-                                         spec.treeNodeBytes, build_rng);
-        mix->add(std::make_unique<TreeSearchGen>(
-                     heap, std::move(tree), 0x2000, 4, walk, seed + 3),
+    if (built.tree) {
+        mix->add(std::make_unique<TreeSearchGen>(heap, *built.tree, 0x2000,
+                                                 4, walk, seed + 3),
                  spec.wTree);
     }
-    if (spec.hashNodes && spec.wHash > 0.0) {
-        BuiltHash hash =
-            buildHashTable(heap, spec.hashBuckets, spec.hashNodes,
-                           spec.hashNodeBytes, build_rng);
-        BuiltHash hash2 = hash;
-        mix->add(std::make_unique<HashLookupGen>(
-                     heap, std::move(hash), 0x3000, 8, walk, seed + 4),
+    if (built.hash) {
+        mix->add(std::make_unique<HashLookupGen>(heap, *built.hash, 0x3000,
+                                                 8, walk, seed + 4),
                  spec.wHash / 2);
-        mix->add(std::make_unique<HashLookupGen>(
-                     heap, std::move(hash2), 0x3100, 28, walk,
-                     seed + 14),
+        mix->add(std::make_unique<HashLookupGen>(heap, *built.hash, 0x3100,
+                                                 28, walk, seed + 14),
                  spec.wHash / 2);
     }
-    if (spec.graphNodes && spec.wGraph > 0.0) {
-        BuiltGraph graph = buildGraph(heap, spec.graphNodes,
-                                      spec.graphNodeBytes,
-                                      spec.graphMaxDegree, build_rng);
-        mix->add(std::make_unique<GraphWalkGen>(
-                     heap, std::move(graph), 0x7000, 4, walk,
-                     seed + 8),
+    if (built.graph) {
+        mix->add(std::make_unique<GraphWalkGen>(heap, *built.graph, 0x7000,
+                                                4, walk, seed + 8),
                  spec.wGraph);
     }
-    if (spec.btreeLeaves && spec.wBTree > 0.0) {
-        BuiltBTree btree = buildBTree(heap, spec.btreeLeaves,
-                                      spec.btreeFanout, build_rng);
-        mix->add(std::make_unique<BTreeSearchGen>(
-                     heap, std::move(btree), 0x7800, 8, walk,
-                     seed + 9),
+    if (built.btree) {
+        mix->add(std::make_unique<BTreeSearchGen>(heap, *built.btree,
+                                                  0x7800, 8, walk, seed + 9),
                  spec.wBTree);
     }
-    if (spec.strideKB && spec.wStride > 0.0) {
-        const Addr region = buildDataRegion(
-            heap, spec.strideKB * 1024, DataKind::Floats, build_rng);
+    if (built.strideRegion) {
         mix->add(std::make_unique<StrideStreamGen>(
-                     region, spec.strideKB * 1024, spec.strideStep,
-                     0x4000, 12, spec.aluPerNode, seed + 5),
+                     *built.strideRegion, spec.strideKB * 1024,
+                     spec.strideStep, 0x4000, 12, spec.aluPerNode,
+                     seed + 5),
                  spec.wStride);
     }
-    if (spec.randomKB && spec.wRandom > 0.0) {
-        const Addr region = buildDataRegion(
-            heap, spec.randomKB * 1024, DataKind::RandomBits, build_rng);
+    if (built.randomRegion) {
         mix->add(std::make_unique<RandomAccessGen>(
-                     region, spec.randomKB * 1024, 0x5000, 16, seed + 6),
+                     *built.randomRegion, spec.randomKB * 1024, 0x5000, 16,
+                     seed + 6),
                  spec.wRandom);
     }
-    // Low-region "globals" segment (static data at 0x00200000):
-    // a small intra-segment pointer web plus medium-integer data.
-    // This is the address region whose candidates the VAM *filter
-    // bits* arbitrate (Section 3.3): with few filter bits, genuine
-    // low-region pointers are rejected as small integers; with many,
-    // medium integers start masquerading as pointers.
-    auto globals = std::make_unique<HeapAllocator>(
-        heap.backingStore(), heap.pageTable(), heap.frameAllocator(),
-        /*heap_base=*/0x00200000, /*align_noise=*/0.0, seed ^ 0x910b);
-    Addr hot_base = 0;
-    Addr hot_bytes = 0;
-    if (spec.hotKB) {
-        hot_bytes = spec.hotKB * 1024;
-        hot_base = buildDataRegion(*globals, hot_bytes,
-                                   DataKind::MediumInts, build_rng);
-    }
     {
-        BuiltList glist =
-            buildLinkedList(*globals, 1'500, 32, 8, 4, build_rng);
         WalkOptions gwalk;
         gwalk.aluPerNode = 1;
         gwalk.payloadLoads = 1;
         mix->add(std::make_unique<ListTraversalGen>(
-                     *globals, std::move(glist), 0x8000, 29, gwalk,
+                     *built.globals, built.globalList, 0x8000, 29, gwalk,
                      seed + 11),
                  0.004);
     }
     if (spec.wCompute > 0.0) {
         mix->add(std::make_unique<ComputeGen>(
                      0x6000, 20, spec.computeBlock, spec.fpFrac,
-                     spec.branchRandomProb, hot_base, hot_bytes,
+                     spec.branchRandomProb, built.hotBase, built.hotBytes,
                      spec.hotLoads, seed + 7),
                  spec.wCompute);
     }
-    mix->adopt(std::move(globals));
+    mix->addSegment(*built.globals);
+    return mix;
+}
+
+std::unique_ptr<UopSource>
+makeBenchmark(const BenchmarkSpec &spec, HeapAllocator &heap,
+              std::uint64_t seed)
+{
+    auto built = std::make_shared<const BuiltWorkload>(
+        buildWorkload(spec, heap, seed));
+    std::unique_ptr<MixGen> mix =
+        makeWorkloadSource(spec, heap, *built, seed);
+    mix->adopt(built);
     return mix;
 }
 

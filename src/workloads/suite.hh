@@ -19,10 +19,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cpu/uop.hh"
+#include "workloads/builders.hh"
+#include "workloads/generators.hh"
 #include "workloads/heap_allocator.hh"
 
 namespace cdp
@@ -105,8 +108,52 @@ const std::vector<BenchmarkSpec> &extraWorkloads();
 const BenchmarkSpec &findBenchmark(const std::string &name);
 
 /**
- * Build the structures of @p spec in @p heap and return the composed
- * uop source.
+ * The structures one benchmark builds in simulated memory. A
+ * component the spec gives no nodes or no weight is absent.
+ */
+struct BuiltWorkload
+{
+    std::optional<BuiltList> list;
+    std::optional<BuiltTree> tree;
+    std::optional<BuiltHash> hash;
+    std::optional<BuiltGraph> graph;
+    std::optional<BuiltBTree> btree;
+    std::optional<Addr> strideRegion;
+    std::optional<Addr> randomRegion;
+
+    /**
+     * The low "globals" segment at 0x00200000 (static data): its own
+     * allocator over the same memory, a cache-resident hot region and
+     * a small intra-segment pointer web.
+     */
+    std::unique_ptr<HeapAllocator> globals;
+    Addr hotBase = 0;
+    Addr hotBytes = 0;
+    BuiltList globalList;
+};
+
+/**
+ * Build the structures of @p spec in @p heap, and the globals segment
+ * beside it in the same memory. This is the only step that writes
+ * simulated memory.
+ */
+BuiltWorkload buildWorkload(const BenchmarkSpec &spec, HeapAllocator &heap,
+                            std::uint64_t seed);
+
+/**
+ * A fresh uop source walking @p built in @p heap. Its generators hold
+ * const references into both, which must outlive it; any number of
+ * sources can walk one build.
+ */
+std::unique_ptr<MixGen> makeWorkloadSource(const BenchmarkSpec &spec,
+                                           const HeapAllocator &heap,
+                                           const BuiltWorkload &built,
+                                           std::uint64_t seed);
+
+/**
+ * Build the structures of @p spec in @p heap and return a uop source
+ * over them that owns the build: buildWorkload, then
+ * makeWorkloadSource.
  */
 std::unique_ptr<UopSource> makeBenchmark(const BenchmarkSpec &spec,
                                          HeapAllocator &heap,

@@ -64,7 +64,7 @@ TEST_F(ExtraFixture, GraphWalkFollowsRealEdges)
     BuiltGraph g = buildGraph(heap, 100, 32, 4, rng);
     std::set<Addr> node_set(g.nodes.begin(), g.nodes.end());
     WalkOptions w;
-    GraphWalkGen gen(heap, std::move(g), 0x7000, 4, w, 3);
+    GraphWalkGen gen(heap, g, 0x7000, 4, w, 3);
     unsigned hops = 0;
     for (int i = 0; i < 400; ++i) {
         const Uop u = gen.next();
@@ -83,7 +83,7 @@ TEST_F(ExtraFixture, GraphWalkEmitsTwoPointerLoadsPerHop)
     BuiltGraph g = buildGraph(heap, 50, 32, 4, rng);
     WalkOptions w;
     w.aluPerNode = 0;
-    GraphWalkGen gen(heap, std::move(g), 0x7000, 4, w, 3);
+    GraphWalkGen gen(heap, g, 0x7000, 4, w, 3);
     // With aluPerNode 0 a block is exactly 4 uops: degree load,
     // adjacency-pointer load, edge-select branch, hop load. Consume
     // whole blocks so the tallies line up exactly.
@@ -158,7 +158,7 @@ TEST_F(ExtraFixture, BTreeSearchGenDescendsHeightLevels)
     const std::uint32_t height = t.height;
     WalkOptions w;
     w.aluPerNode = 0;
-    BTreeSearchGen gen(heap, std::move(t), 0x7800, 8, w, 3);
+    BTreeSearchGen gen(heap, t, 0x7800, 8, w, 3);
     // One search block ends with an unconditional branch; count the
     // pointer loads before it.
     unsigned ptr_loads = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 
 #include "workloads/generators.hh"
@@ -33,7 +34,7 @@ TEST_F(GenFixture, ListGenPointerLoadsFollowTheRealChain)
     WalkOptions w;
     w.payloadLoads = 0;
     w.aluPerNode = 0;
-    ListTraversalGen gen(heap, std::move(list), 0x1000, 0, w, 5);
+    ListTraversalGen gen(heap, list, 0x1000, 0, w, 5);
 
     std::vector<Addr> chased;
     while (chased.size() < 64) {
@@ -49,7 +50,7 @@ TEST_F(GenFixture, ListGenPointerLoadDependsOnPointerRegister)
 {
     BuiltList list = buildLinkedList(heap, 16, 64, 8, 1, rng);
     WalkOptions w;
-    ListTraversalGen gen(heap, std::move(list), 0x1000, 0, w, 5);
+    ListTraversalGen gen(heap, list, 0x1000, 0, w, 5);
     for (int i = 0; i < 100; ++i) {
         const Uop u = gen.next();
         if (u.type == UopType::Load && u.pointerLoad) {
@@ -65,7 +66,7 @@ TEST_F(GenFixture, ListGenEmitsPayloadComputeAndBranch)
     WalkOptions w;
     w.payloadLoads = 2;
     w.aluPerNode = 3;
-    ListTraversalGen gen(heap, std::move(list), 0x1000, 0, w, 5);
+    ListTraversalGen gen(heap, list, 0x1000, 0, w, 5);
     unsigned loads = 0, alus = 0, branches = 0;
     for (int i = 0; i < 7 * 20; ++i) {
         switch (gen.next().type) {
@@ -90,7 +91,7 @@ TEST_F(GenFixture, ListGenPayloadTouchesTrailingLines)
     const Addr node0 = list.nodes[0];
     WalkOptions w;
     w.payloadLoads = 2;
-    ListTraversalGen gen(heap, std::move(list), 0x1000, 0, w, 5);
+    ListTraversalGen gen(heap, list, 0x1000, 0, w, 5);
     bool trailing = false;
     for (int i = 0; i < 8; ++i) {
         const Uop u = gen.next();
@@ -107,7 +108,7 @@ TEST_F(GenFixture, TreeGenWalksRealChildren)
     const auto left_off = tree.leftOffset;
     const auto right_off = tree.rightOffset;
     WalkOptions w;
-    TreeSearchGen gen(heap, std::move(tree), 0x2000, 4, w, 5);
+    TreeSearchGen gen(heap, tree, 0x2000, 4, w, 5);
     // The first pointer load must target one of the root's child
     // slots.
     for (int i = 0; i < 10; ++i) {
@@ -125,7 +126,7 @@ TEST_F(GenFixture, HashGenLoadsBucketHeadThenChain)
     BuiltHash hash = buildHashTable(heap, 16, 100, 32, rng);
     const Addr arr = hash.bucketArray;
     WalkOptions w;
-    HashLookupGen gen(heap, std::move(hash), 0x3000, 8, w, 5);
+    HashLookupGen gen(heap, hash, 0x3000, 8, w, 5);
     bool saw_bucket_load = false;
     for (int i = 0; i < 50; ++i) {
         const Uop u = gen.next();
@@ -214,10 +215,11 @@ TEST_F(GenFixture, MixGenWithNoSourcesThrows)
 
 TEST_F(GenFixture, GeneratorsAreDeterministicPerSeed)
 {
+    std::deque<BuiltList> lists; // generators walk them by reference
     auto make = [&](std::uint64_t seed) {
-        BuiltList l = buildLinkedList(heap, 32, 64, 8, 2, rng);
+        lists.push_back(buildLinkedList(heap, 32, 64, 8, 2, rng));
         return std::make_unique<ListTraversalGen>(
-            heap, std::move(l), 0x1000, 0, WalkOptions{}, seed);
+            heap, lists.back(), 0x1000, 0, WalkOptions{}, seed);
     };
     // Same structure traversal is deterministic given the seed; the
     // two generators walk different lists but fixed seeds give a

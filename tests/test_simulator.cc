@@ -152,13 +152,16 @@ TEST(Simulator, UnboundedKnobFailsConstructionNamingTheKey)
         {"stride.policy=nextline", "stride.degree=65"},
         {"markov.enabled=1", "markov.fanout=4294967295"},
         // Zero sizes: a zero width or buffer never issues a uop, a
-        // zero stride table has no slot to index, and a zero-cycle
-        // bus transfer breaks the fill schedule's tie-freedom.
+        // zero stride table has no slot to index, a zero-cycle bus
+        // transfer breaks the fill schedule's tie-freedom, and a zero
+        // bus or L2 queue silently squashes every prefetch.
         {"core.issue_width=0"},
         {"core.rob=0"},
         {"core.load_buffer=0"},
         {"stride.entries=0"},
         {"mem.bus_occupancy=0"},
+        {"mem.bus_queue=0"},
+        {"mem.l2_queue=0"},
     };
     for (const auto &args : cases) {
         SimConfig c = smallConfig();

@@ -155,7 +155,7 @@ TEST_F(TraceFixture, CapturedWorkloadReplaysIdentically)
     BuiltList list_copy = list;
 
     WalkOptions w;
-    ListTraversalGen gen(heap, std::move(list), 0x1000, 0, w, 42);
+    ListTraversalGen gen(heap, list, 0x1000, 0, w, 42);
     std::vector<Uop> reference;
     {
         CapturingSource cap(gen, path, "list/seed42");

@@ -3,11 +3,13 @@
  * Byte-level pins for the workloads layer.
  *
  * For every workload of the suite (Table 2 plus the extras) at two
- * seeds, the test builds the workload image exactly as Simulator does
- * and pins two FNV-1a hashes:
+ * seeds, the test gets the workload image exactly as Simulator does
+ * (the shared WorkloadImage) and pins two FNV-1a hashes:
  *  - the image: every materialized frame in physical-address order
  *    (each prefixed by its page number), then framesTouched();
  *  - the first 200k uops of the stream, field by field.
+ * Two sources made over the one image must both give the uop pin,
+ * and the image is hashed after they ran: sources only read it.
  * Any change to a builder, the heap allocator or a generator that
  * moves one image byte or one uop field breaks a pin. The goldens
  * cover three workloads through the whole machine; these cover every
@@ -26,11 +28,9 @@
 
 #include "cpu/uop.hh"
 #include "mem/backing_store.hh"
-#include "mem/frame_allocator.hh"
 #include "sim/config.hh"
-#include "vm/page_table.hh"
-#include "workloads/heap_allocator.hh"
 #include "workloads/suite.hh"
+#include "workloads/workload_image.hh"
 
 using namespace cdp;
 
@@ -115,29 +115,8 @@ const Pin pins[] = {
     {"xbtree", 7, 0xf2e972747fce5bf9ull, 0xf3ce2ed7875b7fcfull},
 };
 
-/** The machine parts Simulator builds before the memory system. */
-struct Image
-{
-    explicit Image(const SimConfig &cfg)
-        : frames(/*base_pa=*/0, cfg.physFrames, /*scatter=*/true,
-                 cfg.workloadSeed ^ 0xabcdef),
-          pageTable(store, frames),
-          heap(store, pageTable, frames, defaultHeapBase,
-               /*align_noise=*/0.05, cfg.workloadSeed ^ 0x5eed),
-          source(makeBenchmark(findBenchmark(cfg.workload), heap,
-                               cfg.workloadSeed))
-    {
-    }
-
-    BackingStore store;
-    FrameAllocator frames;
-    PageTable pageTable;
-    HeapAllocator heap;
-    std::unique_ptr<UopSource> source;
-};
-
 std::uint64_t
-imageHash(BackingStore &store)
+imageHash(const BackingStore &store)
 {
     Fnv1a h;
     constexpr Addr pages = Addr{1} << (32 - pageShift);
@@ -183,12 +162,14 @@ class WorkloadPins : public ::testing::TestWithParam<Pin>
 TEST_P(WorkloadPins, ImageAndUopStreamMatch)
 {
     const Pin &pin = GetParam();
-    SimConfig cfg;
-    cfg.workload = pin.workload;
-    cfg.workloadSeed = pin.seed;
-    Image img(cfg);
-    const std::uint64_t image = imageHash(img.store);
-    const std::uint64_t uops = uopHash(*img.source);
+    const SimConfig cfg;
+    const auto img =
+        sharedWorkloadImage(pin.workload, pin.seed, cfg.physFrames);
+    const std::unique_ptr<UopSource> first = img->makeSource();
+    const std::unique_ptr<UopSource> second = img->makeSource();
+    const std::uint64_t uops = uopHash(*first);
+    EXPECT_EQ(uopHash(*second), uops) << "a second source over the image";
+    const std::uint64_t image = imageHash(img->backingStore());
     char actual[160];
     std::snprintf(actual, sizeof actual,
                   "    {\"%s\", %llu, 0x%016llxull, 0x%016llxull},",

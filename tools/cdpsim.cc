@@ -256,8 +256,8 @@ capture(const SimConfig &cfg, const std::string &path)
                         cfg.workload + "/seed" +
                             std::to_string(cfg.workloadSeed));
     StatGroup stats;
-    MemorySystem mem(cfg, sim.heap().backingStore(),
-                     sim.heap().pageTable(), &stats);
+    MemorySystem mem(cfg, sim.workloadImage().backingStore(),
+                     sim.workloadImage().pageTable(), &stats);
     OooCore core(cfg.core, cap, mem, &stats);
     core.run(cfg.warmupUops + cfg.measureUops);
     cap.finish();
