@@ -1,9 +1,8 @@
 #include "mem/backing_store.hh"
 
-#include <algorithm>
 #include <cstring>
 
-#include "snapshot/ckpt_io.hh"
+#include "common/fnv1a.hh"
 
 namespace cdp
 {
@@ -93,12 +92,12 @@ BackingStore::write(Addr pa, const std::uint8_t *src, Addr len)
         write8(pa + i, src[i]);
 }
 
-void
-BackingStore::saveState(snap::Writer &w) const
+std::uint64_t
+BackingStore::contentHash() const
 {
     // Walking the table in index order yields ascending page numbers,
-    // so the checkpoint is a pure function of the frames' contents.
-    w.u64(pool.size());
+    // so the hash depends only on the frames, not on write order.
+    Fnv1a h;
     for (Addr d = 0; d < dir.size(); ++d) {
         if (dir[d] == 0)
             continue;
@@ -106,29 +105,12 @@ BackingStore::saveState(snap::Writer &w) const
         for (Addr i = 0; i < leafPages; ++i) {
             if (leaf[i] == 0)
                 continue;
-            w.u32((d << leafBits) | i);
-            w.bytes(pool[leaf[i] - 1]->data(), pageBytes);
+            h.word((d << leafBits) | i, 4);
+            h.bytes(pool[leaf[i] - 1]->data(), pageBytes);
         }
     }
-}
-
-void
-BackingStore::loadState(snap::Reader &r)
-{
-    const std::uint64_t n = r.u64();
-    pool.clear();
-    std::fill(dir.begin(), dir.end(), 0);
-    leaves.clear();
-    Addr prev = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr page = r.u32();
-        if (i > 0 && page <= prev)
-            r.fail("backing-store page numbers not strictly increasing");
-        if (page > pageNumber(~Addr{0}))
-            r.fail("backing-store page number out of range");
-        prev = page;
-        r.bytes(frameFor(page << pageShift), pageBytes);
-    }
+    h.word(pool.size());
+    return h.value();
 }
 
 } // namespace cdp

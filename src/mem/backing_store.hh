@@ -29,12 +29,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /**
  * Lazily allocated, frame-granular physical memory. Reads of frames
  * that were never written return zero bytes, mirroring a zero-filled
@@ -74,9 +68,8 @@ class BackingStore
 
     /**
      * Host pointer to the base of the frame holding @p pa,
-     * materializing it zero-filled. Frames are never deallocated
-     * except by loadState(), so the pointer stays valid until then —
-     * callers memoizing it must reset on restore.
+     * materializing it zero-filled. Frames are never deallocated,
+     * so the pointer stays valid for the store's lifetime.
      */
     std::uint8_t *pageData(Addr pa) { return frameFor(pa); }
 
@@ -97,11 +90,13 @@ class BackingStore
         return lookup(pageNumber(pa));
     }
 
-    /** Serialize every materialized frame in page-number order. */
-    void saveState(snap::Writer &w) const;
-
-    /** Replace all contents with the checkpointed frames. */
-    void loadState(snap::Reader &r);
+    /**
+     * FNV-1a of the contents: every materialized frame in
+     * page-number order, each prefixed by its u32 page number, then
+     * the u64 framesTouched(). A checkpoint names the workload image
+     * it was taken over by this hash (DESIGN.md §11).
+     */
+    std::uint64_t contentHash() const;
 
   private:
     using Frame = std::array<std::uint8_t, pageBytes>;

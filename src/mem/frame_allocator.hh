@@ -22,12 +22,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /**
  * Allocates physical frames, either sequentially or in a scattered
  * (pseudo-random within a window) order.
@@ -53,12 +47,6 @@ class FrameAllocator
 
     std::uint32_t allocated() const { return nextIndex; }
     std::uint32_t capacity() const { return totalFrames; }
-
-    /** Serialize allocation progress (checkpointing). */
-    void saveState(snap::Writer &w) const;
-
-    /** Restore state; the allocator geometry must match. */
-    void loadState(snap::Reader &r);
 
   private:
     Addr basePa;

@@ -110,8 +110,9 @@ class Simulator
      * machine geometry, baseline-prefetcher knobs — must match the
      * checkpointing run exactly; the sweep-fork knobs (cdp.*,
      * adaptive.*, trace.*, run lengths) may differ, enabling
-     * warm-once / fork-many sweeps. The workload image's sections are
-     * checked against the shared image, never loaded into it. Throws
+     * warm-once / fork-many sweeps. The workload image is not in the
+     * checkpoint: its content hash is guarded like a knob, and the
+     * shared image is never written. Throws
      * snap::SnapshotError with a section-qualified diagnostic on any
      * mismatch, corruption, truncation, or version skew.
      */

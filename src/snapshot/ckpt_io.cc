@@ -1,10 +1,10 @@
 #include "snapshot/ckpt_io.hh"
 
-#include <algorithm>
 #include <cstring>
 #include <istream>
 #include <ostream>
-#include <sstream>
+
+#include "common/fnv1a.hh"
 
 namespace cdp
 {
@@ -18,18 +18,6 @@ constexpr char magic[] = "CDPSNAP\n"; // 8 bytes, no terminator written
 constexpr std::size_t magicLen = 8;
 constexpr char endTag[] = "END!";
 constexpr std::size_t tagLen = 4;
-
-/** FNV-1a 64-bit over a byte buffer. */
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : data) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 void
 putLe32(std::string &out, std::uint32_t v)
@@ -79,7 +67,7 @@ Writer::endSection()
     std::string frame = curTag;
     putLe64(frame, buf.size());
     frame += buf;
-    putLe64(frame, fnv1a(buf));
+    putLe64(frame, fnv1a(buf.data(), buf.size()));
     os.write(frame.data(), static_cast<std::streamsize>(frame.size()));
     if (!os)
         throw SnapshotError("checkpoint write failed (section '" +
@@ -166,18 +154,6 @@ Writer::rng(const Rng &r)
     u64(s1);
 }
 
-std::string
-Writer::payloadOf(const std::function<void(Writer &)> &write,
-                  std::size_t size_hint)
-{
-    std::ostringstream header; // the staging writer emits nothing else
-    Writer w(header);
-    w.beginSection("PAYL");
-    w.buf.reserve(size_hint);
-    write(w);
-    return std::move(w.buf);
-}
-
 Reader::Reader(std::istream &is) : is(is)
 {
     char header[magicLen + 4];
@@ -249,7 +225,7 @@ Reader::enterSection(const char *tag)
         sum |= static_cast<std::uint64_t>(
                    static_cast<std::uint8_t>(sumBytes[i]))
                << (8 * i);
-    if (sum != fnv1a(payload))
+    if (sum != fnv1a(payload.data(), payload.size()))
         throw SnapshotError(std::string("corrupted checkpoint: section '") +
                             tag + "' fails its checksum");
     curTag.assign(tag, tagLen);
@@ -380,24 +356,6 @@ Reader::expectStr(const std::string &expected, const char *what)
     if (found != expected)
         fail(std::string(what) + " mismatch: checkpoint has '" + found +
              "', this simulator has '" + expected + "'");
-}
-
-void
-Reader::expectBytes(const std::string &expected, const char *what)
-{
-    need(0);
-    const std::size_t n = std::min(expected.size(), payload.size() - pos);
-    const auto at = std::mismatch(expected.begin(), expected.begin() + n,
-                                  payload.begin() + pos);
-    const std::size_t same =
-        static_cast<std::size_t>(at.first - expected.begin());
-    if (same < expected.size()) {
-        pos += same;
-        fail(std::string(what) + " mismatch at byte " +
-             std::to_string(same) + " of " +
-             std::to_string(expected.size()));
-    }
-    pos += expected.size();
 }
 
 void

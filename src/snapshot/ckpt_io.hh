@@ -29,7 +29,6 @@
 #define CDP_SNAPSHOT_CKPT_IO_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
@@ -42,7 +41,7 @@ namespace snap
 {
 
 /** Current checkpoint format version (bump on layout changes). */
-constexpr std::uint32_t formatVersion = 2;
+constexpr std::uint32_t formatVersion = 3;
 
 /**
  * Any failure to serialize or deserialize a checkpoint: truncation,
@@ -84,19 +83,10 @@ class Writer
     void boolean(bool v);
     /** Length-prefixed byte string. */
     void str(const std::string &s);
-    /** Raw bytes, caller knows the length (e.g. a memory frame). */
+    /** Raw bytes, caller knows the length (e.g. a predictor table). */
     void bytes(const std::uint8_t *p, std::size_t n);
     /** The two raw xorshift128+ state words of @p r. */
     void rng(const Rng &r);
-
-    /**
-     * The payload bytes @p write stages into one section, unframed:
-     * what a component's saveState would put into a checkpoint.
-     * @p size_hint is the expected size (reserved up front).
-     */
-    static std::string
-    payloadOf(const std::function<void(Writer &)> &write,
-              std::size_t size_hint = 0);
 
   private:
     void raw(const void *p, std::size_t n);
@@ -148,27 +138,6 @@ class Reader
 
     /** String flavour of expectU64 (workload names etc.). */
     void expectStr(const std::string &expected, const char *what);
-
-    /**
-     * Require the next payload bytes to equal @p expected; a
-     * mismatch names @p what and the first differing byte.
-     */
-    void expectBytes(const std::string &expected, const char *what);
-
-    /**
-     * Require the next payload bytes to be exactly what
-     * @p obj.saveState writes. This is how a restore checks state it
-     * shares and never loads: the workload image (DESIGN.md §11).
-     */
-    template <typename T>
-    void
-    expectSaved(const T &obj, const char *what)
-    {
-        expectBytes(Writer::payloadOf(
-                        [&obj](Writer &w) { obj.saveState(w); },
-                        payload.size() - pos),
-                    what);
-    }
 
     /**
      * Throw SnapshotError for a semantic problem found by a component

@@ -7,10 +7,6 @@
  * together. A checkpoint is a sequence of tagged sections:
  *
  *   CFG!  guarded configuration (name/value pairs, compared on load)
- *   STOR  BackingStore (sparse physical pages)
- *   FRAM  FrameAllocator
- *   PGTB  PageTable roots (table content lives in STOR)
- *   HEAP  HeapAllocator bump state
  *   WKLD  workload generator (name-guarded)
  *   MSYS  MemorySystem (caches, TLB, prefetchers, arbiter ledger)
  *   CORE  OooCore pipeline + branch predictor
@@ -18,12 +14,18 @@
  *
  * The guarded configuration covers everything that shapes machine
  * *state*: restoring into a different geometry would silently corrupt
- * the run, so it fails loudly instead. The deliberately unguarded
- * knobs — cdp.*, adaptive.*, trace.*, run lengths — only shape future
- * *behaviour*; forking one warm checkpoint across a sweep of them is
- * the whole point of the subsystem.
+ * the run, so it fails loudly instead. The workload image (simulated
+ * memory, page table, allocators) is not carried: it is a pure
+ * function of the guarded workload, seed and physical frame count,
+ * and no run writes it, so the guarded configuration names it by its
+ * content hash instead. The deliberately unguarded knobs — cdp.*,
+ * adaptive.*, trace.*, run lengths — only shape future *behaviour*;
+ * forking one warm checkpoint across a sweep of them is the whole
+ * point of the subsystem.
  */
 
+#include <cinttypes>
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -40,11 +42,13 @@ namespace
 
 /**
  * The guarded subset of the configuration as ordered name/value
- * pairs. Both ends build the same list, so a mismatch reports the
- * offending knob by name.
+ * pairs, plus the content hash of the workload image @p image. Both
+ * ends build the same list, so a mismatch reports the offending knob
+ * by name. The hash is taken on every save and restore, never at
+ * build: the sims that never checkpoint do not pay for it.
  */
 std::vector<std::pair<std::string, std::string>>
-guardedConfig(const SimConfig &cfg)
+guardedConfig(const SimConfig &cfg, const WorkloadImage &image)
 {
     std::vector<std::pair<std::string, std::string>> kv;
     const auto add = [&kv](const char *name, std::uint64_t v) {
@@ -53,6 +57,10 @@ guardedConfig(const SimConfig &cfg)
     kv.emplace_back("workload", cfg.workload);
     add("workload_seed", cfg.workloadSeed);
     add("phys_frames", cfg.physFrames);
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016" PRIx64,
+                  image.backingStore().contentHash());
+    kv.emplace_back("workload_image", hash);
 
     add("core.issue_width", cfg.core.issueWidth);
     add("core.retire_width", cfg.core.retireWidth);
@@ -109,28 +117,12 @@ Simulator::saveCheckpoint(std::ostream &os) const
     snap::Writer w(os);
 
     w.beginSection("CFG!");
-    const auto kv = guardedConfig(cfg);
+    const auto kv = guardedConfig(cfg, *image);
     w.u64(kv.size());
     for (const auto &pair : kv) {
         w.str(pair.first);
         w.str(pair.second);
     }
-    w.endSection();
-
-    w.beginSection("STOR");
-    image->backingStore().saveState(w);
-    w.endSection();
-
-    w.beginSection("FRAM");
-    image->frameAllocator().saveState(w);
-    w.endSection();
-
-    w.beginSection("PGTB");
-    image->pageTable().saveState(w);
-    w.endSection();
-
-    w.beginSection("HEAP");
-    image->heap().saveState(w);
     w.endSection();
 
     w.beginSection("WKLD");
@@ -153,42 +145,18 @@ Simulator::saveCheckpoint(std::ostream &os) const
     w.finish();
 }
 
-/*
- * STOR, FRAM, PGTB, HEAP and the globals-segment allocator inside
- * WKLD hold the workload image. They are a pure function of guarded
- * knobs (workload, seed, physical frames) and no run writes simulated
- * memory, so a restore compares them byte for byte against the
- * shared image instead of loading them: other live machines read it.
- */
 void
 Simulator::restoreCheckpoint(std::istream &is)
 {
     snap::Reader r(is);
 
     r.enterSection("CFG!");
-    const auto kv = guardedConfig(cfg);
+    const auto kv = guardedConfig(cfg, *image);
     r.expectU64(kv.size(), "guarded-config entry count");
     for (const auto &pair : kv) {
         r.expectStr(pair.first, "guarded-config key");
         r.expectStr(pair.second, pair.first.c_str());
     }
-    r.leaveSection();
-
-    r.enterSection("STOR");
-    r.expectSaved(image->backingStore(), "workload image backing store");
-    r.leaveSection();
-
-    r.enterSection("FRAM");
-    r.expectSaved(image->frameAllocator(),
-                  "workload image frame allocator");
-    r.leaveSection();
-
-    r.enterSection("PGTB");
-    r.expectSaved(image->pageTable(), "workload image page table");
-    r.leaveSection();
-
-    r.enterSection("HEAP");
-    r.expectSaved(image->heap(), "workload image heap allocator");
     r.leaveSection();
 
     r.enterSection("WKLD");

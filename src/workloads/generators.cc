@@ -498,12 +498,6 @@ MixGen::MixGen(std::string mix_name, std::uint64_t seed)
 }
 
 void
-MixGen::addSegment(const HeapAllocator &segment)
-{
-    segments.push_back(&segment);
-}
-
-void
 MixGen::adopt(std::shared_ptr<const void> keep)
 {
     owner = std::move(keep);
@@ -545,9 +539,6 @@ MixGen::saveState(snap::Writer &w) const
         w.str(src->name());
         src->saveState(w);
     }
-    w.u64(segments.size());
-    for (const HeapAllocator *seg : segments)
-        seg->saveState(w);
 }
 
 void
@@ -559,9 +550,6 @@ MixGen::loadState(snap::Reader &r)
         r.expectStr(src->name(), "mix sub-source");
         src->loadState(r);
     }
-    r.expectU64(segments.size(), "mix segment-allocator count");
-    for (const HeapAllocator *seg : segments)
-        r.expectSaved(*seg, "workload image segment allocator");
 }
 
 } // namespace cdp

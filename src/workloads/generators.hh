@@ -401,13 +401,6 @@ class MixGen : public UopSource
     void add(std::unique_ptr<BlockUopSource> src, double weight);
 
     /**
-     * Checkpoint the bump state of @p segment (the allocator of a
-     * secondary address-space segment) with this mix. Restore
-     * checks it, never loads it: the segment is shared, read-only.
-     */
-    void addSegment(const HeapAllocator &segment);
-
-    /**
      * Keep @p owner alive as long as this mix: whatever the
      * sub-sources reference (built structures, segment allocators).
      */
@@ -417,18 +410,17 @@ class MixGen : public UopSource
     const char *name() const override { return mixName.c_str(); }
 
     /**
-     * Serialize the mix RNG, every sub-source (name-guarded so a
-     * layout change fails loudly), and the segment allocators.
+     * Serialize the mix RNG and every sub-source (name-guarded so a
+     * layout change fails loudly).
      */
     void saveState(snap::Writer &w) const override;
     void loadState(snap::Reader &r) override;
 
   private:
-    // cdplint: transient(mixName, cumWeights, totalWeight, owner) -- mix recipe is construction-time; only the constituent sources, the selector RNG and the (checked) segment state travel
+    // cdplint: transient(mixName, cumWeights, totalWeight, owner) -- mix recipe is construction-time; only the constituent sources and the selector RNG travel
     std::string mixName;
     Rng rng;
     std::vector<std::unique_ptr<BlockUopSource>> sources;
-    std::vector<const HeapAllocator *> segments;
     std::vector<double> cumWeights;
     double totalWeight = 0.0;
     std::shared_ptr<const void> owner;

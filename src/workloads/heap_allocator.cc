@@ -3,8 +3,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "snapshot/ckpt_io.hh"
-
 namespace cdp
 {
 
@@ -109,38 +107,6 @@ void
 HeapAllocator::write8(Addr va, std::uint8_t v)
 {
     materialize(va)[pageOffset(va)] = v;
-}
-
-void
-HeapAllocator::saveState(snap::Writer &w) const
-{
-    w.u64(base);
-    w.u32(top);
-    w.u32(mappedTo);
-    w.rng(rng);
-}
-
-void
-HeapAllocator::loadState(snap::Reader &r)
-{
-    r.expectU64(base, "heap base");
-    top = r.u32();
-    mappedTo = r.u32();
-    if (top < base || mappedTo < base)
-        r.fail("heap bump pointer below the heap base");
-    if (top > mappedTo || pageOffset(mappedTo) != 0)
-        r.fail("heap mapped end not a page boundary at or above the "
-               "bump pointer");
-    r.rng(rng);
-    // The restored frames replace the ones the table points at.
-    pages.assign((mappedTo - base) >> pageShift, nullptr);
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-        const auto pa =
-            table.translate(base + (static_cast<Addr>(i) << pageShift));
-        if (!pa)
-            r.fail("heap page below the mapped end is not mapped");
-        pages[i] = store.pageDataIfPresent(*pa);
-    }
 }
 
 } // namespace cdp

@@ -39,12 +39,6 @@
 namespace cdp
 {
 
-namespace snap
-{
-class Writer;
-class Reader;
-} // namespace snap
-
 /** Default base of the simulated heap (upper 8 bits = 0x10). */
 constexpr Addr defaultHeapBase = 0x10000000;
 
@@ -121,15 +115,6 @@ class HeapAllocator
     PageTable &pageTable() { return table; }
     FrameAllocator &frameAllocator() { return frames; }
 
-    /** Serialize bump-pointer state + RNG (checkpointing). */
-    void saveState(snap::Writer &w) const;
-
-    /**
-     * Restore bump-pointer state + RNG. The backing store and page
-     * table must already hold the checkpoint's frames and mappings.
-     */
-    void loadState(snap::Reader &r);
-
   private:
     /** Host bytes of @p va's page, or nullptr if not materialized. */
     std::uint8_t *
@@ -150,28 +135,24 @@ class HeapAllocator
     void writeSlow(Addr va, std::uint32_t v);
     Addr translateOrThrow(Addr va) const;
 
-    // cdplint: transient(store, table, frames) -- wiring references rebuilt by the restoring harness, not state
     BackingStore &store;
     PageTable &table;
     FrameAllocator &frames;
     Addr base;
     Addr top;
     Addr mappedTo; //!< first unmapped heap address
-    // cdplint: transient(alignNoise) -- construction-time policy knob; the restoring side's own config governs
     double alignNoise;
     Rng rng;
 
-    // cdplint: transient(pages) -- host-pointer index over the page table and the backing store's frames; loadState() rebuilds it from the restored frames
     /**
      * Direct-indexed page table of the heap, one entry per page of
      * [base, mappedTo). A page's host pointer is filled when its
      * frame materializes, on the page's first write; a
      * never-written page stays nullptr and reads as 0 without being
-     * materialized. Sized only by ensureMapped() and loadState():
-     * the measured phase never grows it. The pointers stay valid
-     * because the page table has no unmap and frames never move
-     * until the backing store is restored, which comes with a
-     * loadState() here.
+     * materialized. Sized only by ensureMapped(): the measured
+     * phase never grows it. The pointers stay valid because the page
+     * table has no unmap and the backing store never frees or moves
+     * a frame.
      */
     std::vector<std::uint8_t *> pages;
 };

@@ -345,7 +345,6 @@ makeWorkloadSource(const BenchmarkSpec &spec, const HeapAllocator &heap,
                      spec.hotLoads, seed + 7),
                  spec.wCompute);
     }
-    mix->addSegment(*built.globals);
     return mix;
 }
 

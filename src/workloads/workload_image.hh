@@ -57,7 +57,6 @@ class WorkloadImage
     std::unique_ptr<UopSource> makeSource() const;
 
     const BackingStore &backingStore() const { return store; }
-    const FrameAllocator &frameAllocator() const { return frames; }
     const PageTable &pageTable() const { return table; }
     const HeapAllocator &heap() const { return heapAlloc; }
 

@@ -11,7 +11,10 @@ the warm-fork sweep workflow uses them and requires:
     twice, and when re-written by a restored process image,
   * a sweep fork (restore under a changed cdp.* config) to succeed
     and be reproducible run over run,
-  * all of the above at -j1 and -j8 alike.
+  * all of the above at -j1 and -j8 alike,
+  * a refused checkpoint (corrupted, or of format version 2) to exit 1
+    with its diagnostic and without the usage text, which only an
+    argument error (an unknown --flag) prints.
 
 Usage: checkpoint_determinism.py <cdpsim>
 """
@@ -30,13 +33,17 @@ CONFIG = [
 SWEEP = ["cdp.depth=5", "cdp.next_lines=1"]
 
 
-def run(cdpsim, args, jobs):
+def run_raw(cdpsim, args):
     env = dict(os.environ)
     env.pop("CDP_SCALE", None)  # fixed-length runs
     env.pop("CDP_JOBS", None)   # job count is the test's to choose
-    argv = [cdpsim] + args + ["--stats", "-j%d" % jobs]
-    res = subprocess.run(argv, stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, env=env)
+    argv = [cdpsim] + args
+    return argv, subprocess.run(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+
+
+def run(cdpsim, args, jobs):
+    argv, res = run_raw(cdpsim, args + ["--stats", "-j%d" % jobs])
     if res.returncode != 0:
         sys.exit("FAIL: %s exited %d\nstderr:\n%s"
                  % (" ".join(argv), res.returncode,
@@ -83,6 +90,39 @@ def check(cdpsim, jobs, tmp):
     return out_save, read(ck_a), fork1
 
 
+def check_errors(cdpsim, ckpt, tmp):
+    """Runtime errors print their diagnostic alone; usage is for
+    argument errors."""
+    good = read(ckpt)
+    corrupted = bytearray(good)
+    corrupted[40] ^= 0x01  # inside CFG!'s payload: fails its checksum
+    version2 = bytearray(good)
+    version2[8] = 2  # the format version follows the 8-byte magic
+    cases = [("corrupted", corrupted, "fails its checksum"),
+             ("version-2", version2, "file has version 2")]
+    for name, data, want in cases:
+        bad = os.path.join(tmp, name + ".ckpt")
+        with open(bad, "wb") as f:
+            f.write(data)
+        argv, res = run_raw(cdpsim, CONFIG + ["--checkpoint-in=" + bad])
+        err = res.stderr.decode(errors="replace")
+        if res.returncode != 1:
+            sys.exit("FAIL: %s exited %d, want 1\nstderr:\n%s"
+                     % (" ".join(argv), res.returncode, err))
+        if "cdpsim: error: " not in err or want not in err:
+            sys.exit("FAIL: %s checkpoint: no '%s' diagnostic\n"
+                     "stderr:\n%s" % (name, want, err))
+        if "usage:" in err:
+            sys.exit("FAIL: %s checkpoint: usage text printed after "
+                     "a runtime error\nstderr:\n%s" % (name, err))
+    argv, res = run_raw(cdpsim, CONFIG + ["--no-such-flag"])
+    err = res.stderr.decode(errors="replace")
+    if res.returncode != 1 or "usage:" not in err:
+        sys.exit("FAIL: %s exited %d without usage text\nstderr:\n%s"
+                 % (" ".join(argv), res.returncode, err))
+    print("refused checkpoints: diagnostic only; unknown flag: usage")
+
+
 def main(argv):
     if len(argv) != 2:
         sys.stderr.write(__doc__)
@@ -95,6 +135,7 @@ def main(argv):
         os.makedirs(d8)
         if check(cdpsim, 1, d1) != check(cdpsim, 8, d8):
             sys.exit("FAIL: -j1 and -j8 disagree")
+        check_errors(cdpsim, os.path.join(d1, "warm_a.ckpt"), tmp)
     print("checkpoint workflow deterministic at -j1 and -j8")
     return 0
 

@@ -2,15 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
-#include <sstream>
-#include <string>
+#include <iterator>
+#include <utility>
 #include <vector>
 
+#include "common/fnv1a.hh"
 #include "common/rng.hh"
 #include "mem/backing_store.hh"
-#include "snapshot/ckpt_io.hh"
 
 using namespace cdp;
 
@@ -148,55 +147,49 @@ TEST(BackingStore, FramesTouchedCountsDistinctPagesAcrossLeaves)
                   static_cast<std::uint8_t>(p));
 }
 
-TEST(BackingStore, CheckpointLayoutIsCountThenAscendingPages)
+TEST(BackingStore, ContentHashIsPagesInOrderThenFrameCount)
 {
-    // The STOR payload is: u64 frame count, then for every frame in
-    // ascending page order its u32 page number and 4096 raw bytes.
-    // Frames written out of order must still serialize sorted.
+    // The hash covers each frame in ascending page order, prefixed by
+    // its u32 page number, then the u64 frame count.
     BackingStore m;
+    m.write32((3 << pageShift) + 0x10, 0xa0000003u);
+    std::uint8_t frame[pageBytes] = {};
+    const std::uint32_t v = 0xa0000003u;
+    std::memcpy(frame + 0x10, &v, 4);
+    Fnv1a want;
+    want.word(3, 4);
+    want.bytes(frame, pageBytes);
+    want.word(1);
+    EXPECT_EQ(m.contentHash(), want.value());
+
+    Fnv1a none;
+    none.word(0);
+    EXPECT_EQ(BackingStore().contentHash(), none.value());
+}
+
+TEST(BackingStore, ContentHashSeesEveryByteAndFrameButNotWriteOrder)
+{
     const Addr pages[] = {0xfffff, 3, 0x400, 2, 0x3ff};
+    BackingStore a;
     for (const Addr p : pages)
-        m.write32((p << pageShift) + 0x10, 0xa0000000u | p);
+        a.write32((p << pageShift) + 0x10, 0xa0000000u | p);
+    BackingStore b; // the same frames, materialized in reverse order
+    for (auto p = std::rbegin(pages); p != std::rend(pages); ++p)
+        b.write32((*p << pageShift) + 0x10, 0xa0000000u | *p);
+    const std::uint64_t h = a.contentHash();
+    EXPECT_EQ(b.contentHash(), h);
 
-    std::ostringstream got;
-    {
-        snap::Writer w(got);
-        w.beginSection("STOR");
-        m.saveState(w);
-        w.endSection();
-        w.finish();
-    }
+    // One byte anywhere in a frame moves it; writing it back restores
+    // it: the hash is of the contents, not of the write history.
+    const Addr pa = (Addr{0x400} << pageShift) + pageBytes - 1;
+    b.write8(pa, 1);
+    EXPECT_NE(b.contentHash(), h);
+    b.write8(pa, 0);
+    EXPECT_EQ(b.contentHash(), h);
 
-    std::vector<Addr> sorted(std::begin(pages), std::end(pages));
-    std::sort(sorted.begin(), sorted.end());
-    std::ostringstream want;
-    {
-        snap::Writer w(want);
-        w.beginSection("STOR");
-        w.u64(sorted.size());
-        for (const Addr p : sorted) {
-            std::uint8_t frame[pageBytes] = {};
-            const std::uint32_t v = 0xa0000000u | p;
-            std::memcpy(frame + 0x10, &v, 4);
-            w.u32(p);
-            w.bytes(frame, pageBytes);
-        }
-        w.endSection();
-        w.finish();
-    }
-    EXPECT_EQ(got.str(), want.str());
-
-    BackingStore back;
-    back.write8(0x5000, 1); // replaced wholesale by the restore
-    std::istringstream is(got.str());
-    snap::Reader r(is);
-    r.enterSection("STOR");
-    back.loadState(r);
-    r.leaveSection();
-    EXPECT_EQ(back.framesTouched(), std::size(pages));
-    EXPECT_EQ(back.pageDataIfPresent(0x5000), nullptr);
-    for (const Addr p : pages)
-        EXPECT_EQ(back.read32((p << pageShift) + 0x10), 0xa0000000u | p);
+    // So does one more frame, even a zero-filled one.
+    (void)b.pageData(0x7000);
+    EXPECT_NE(b.contentHash(), h);
 }
 
 /** Property: random word writes read back exactly. */

@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hh"
 #include "snapshot/ckpt_io.hh"
@@ -293,15 +295,44 @@ TEST_F(SnapshotCorruption, BadMagicIsRejected)
 
 TEST_F(SnapshotCorruption, VersionSkewIsRejectedWithBothVersions)
 {
-    std::string damaged = bytes;
-    damaged[8] = 99; // formatVersion lives right after the magic
-    const std::string err = restoreError(damaged);
-    EXPECT_NE(err.find("version skew"), std::string::npos) << err;
-    EXPECT_NE(err.find("99"), std::string::npos) << err;
-    EXPECT_NE(err.find("version " +
-                       std::to_string(snap::formatVersion)),
-              std::string::npos)
-        << err;
+    // 99: a future file. formatVersion - 1: a version-2 file, which
+    // carried the workload image; no reader for it is kept.
+    for (const unsigned version : {99u, snap::formatVersion - 1}) {
+        std::string damaged = bytes;
+        damaged[8] = static_cast<char>(version); // right after the magic
+        const std::string err = restoreError(damaged);
+        EXPECT_NE(err.find("version skew: file has version " +
+                           std::to_string(version)),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("reads version " +
+                           std::to_string(snap::formatVersion)),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST_F(SnapshotCorruption, SectionsAreConfigWorkloadMemsysCoreStats)
+{
+    // The workload image travels as a guarded config entry, not as
+    // sections of its own.
+    EXPECT_EQ(snap::formatVersion, 3u);
+    std::vector<std::string> tags;
+    std::size_t at = 12; // magic + version
+    while (at + 12 <= bytes.size()) {
+        tags.push_back(bytes.substr(at, 4));
+        std::uint64_t len = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            len |= static_cast<std::uint64_t>(
+                       static_cast<std::uint8_t>(bytes[at + 4 + i]))
+                   << (8 * i);
+        at += 12 + len + 8; // tag, length, payload, checksum
+    }
+    EXPECT_EQ(at, bytes.size());
+    const std::vector<std::string> want = {"CFG!", "WKLD", "MSYS",
+                                           "CORE", "STAT", "END!"};
+    EXPECT_EQ(tags, want);
+    EXPECT_NE(bytes.find("workload_image"), std::string::npos);
 }
 
 TEST_F(SnapshotCorruption, WrongSectionTagIsRejected)

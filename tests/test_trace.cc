@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include <unistd.h>
+
 #include "trace/trace.hh"
 #include "workloads/builders.hh"
 #include "workloads/generators.hh"
@@ -22,9 +24,13 @@ struct TraceFixture : ::testing::Test
     void
     SetUp() override
     {
+        // Test name and pid: unique across the cases ctest runs in
+        // parallel, each in its own process.
+        const ::testing::TestInfo *test =
+            ::testing::UnitTest::GetInstance()->current_test_info();
         path = ::testing::TempDir() + "cdp_trace_test_" +
-               std::to_string(reinterpret_cast<std::uintptr_t>(this)) +
-               ".cdpt";
+               test->test_suite_name() + "." + test->name() + "_" +
+               std::to_string(::getpid()) + ".cdpt";
     }
 
     void TearDown() override { std::remove(path.c_str()); }

@@ -6,23 +6,24 @@
  * contract: the same key gives the same image, any other key a
  * distinct one; the image dies with its last holder; machines sharing
  * an image on several threads produce exactly the stats of machines
- * with private images; and a checkpoint whose image sections disagree
- * with the shared image is refused without disturbing the machines
- * that share it.
+ * with private images; a checkpoint that names another image is
+ * refused without disturbing the machines that share this one; and
+ * restores into sharers on several threads at once all match.
  */
 
 #include <gtest/gtest.h>
 
 #include <barrier>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
+#include "common/fnv1a.hh"
 #include "sim/simulator.hh"
 #include "snapshot/ckpt_io.hh"
 #include "workloads/workload_image.hh"
@@ -58,18 +59,6 @@ runAndDump(Simulator &sim)
     return dumpStats(sim);
 }
 
-/** 64-bit FNV-1a, as the checkpoint format checksums a payload. */
-std::uint64_t
-fnv1a(const std::string &data, std::size_t at, std::size_t n)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (std::size_t i = at; i < at + n; ++i) {
-        h ^= static_cast<std::uint8_t>(data[i]);
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 std::uint64_t
 le64(const std::string &data, std::size_t at)
 {
@@ -82,34 +71,37 @@ le64(const std::string &data, std::size_t at)
 }
 
 /**
- * Flip one byte of section @p tag's payload, @p offset bytes from its
- * start (from its end if negative), and re-checksum the section, so
- * only the image check can catch it.
+ * Recompute the checksum of section @p tag after an edit of its
+ * payload, so only a semantic check can catch the edit.
  */
-std::string
-corruptSection(std::string bytes, const char *tag, long offset)
+void
+reseal(std::string &bytes, const char *tag)
 {
     std::size_t at = 12; // magic + version
     while (at + 12 <= bytes.size()) {
         const std::uint64_t len = le64(bytes, at + 4);
         const std::size_t payload = at + 12;
         if (bytes.compare(at, 4, tag) == 0) {
-            const std::size_t flip =
-                payload + static_cast<std::size_t>(
-                              offset < 0 ? static_cast<long>(len) + offset
-                                         : offset);
-            EXPECT_LT(flip, payload + len) << tag;
-            bytes[flip] = static_cast<char>(bytes[flip] ^ 0x5a);
-            const std::uint64_t sum = fnv1a(bytes, payload, len);
+            const std::uint64_t sum = fnv1a(bytes.data() + payload, len);
             for (unsigned i = 0; i < 8; ++i)
                 bytes[payload + len + i] =
                     static_cast<char>((sum >> (8 * i)) & 0xff);
-            return bytes;
+            return;
         }
         at = payload + len + 8;
     }
     ADD_FAILURE() << "no section " << tag;
-    return bytes;
+}
+
+/** Warm @p sim, quiesce it and return its checkpoint bytes. */
+std::string
+warmCheckpoint(Simulator &sim, std::uint64_t warm)
+{
+    sim.warmup(warm);
+    sim.quiesce();
+    std::ostringstream os;
+    sim.saveCheckpoint(os);
+    return os.str();
 }
 
 } // namespace
@@ -247,32 +239,29 @@ TEST(WorkloadImage, CheckpointDisagreeingWithTheImageFailsNamingTheSection)
     }
 
     Simulator live(cfg);
-    live.warmup(warm);
-    live.quiesce();
-    std::ostringstream os;
-    live.saveCheckpoint(os);
-    const std::string bytes = os.str();
+    const std::string bytes = warmCheckpoint(live, warm);
 
-    // HEAP offset 8: the bump pointer. STOR offset 8 + 4 + 64: a byte
-    // inside the first frame (after the count and its page number).
-    // WKLD ends with the globals-segment allocator (u64 base, u32 top,
-    // u32 mapped end, 16 RNG bytes): 24 from the end is its bump
-    // pointer.
-    const std::pair<const char *, long> cases[] = {
-        {"HEAP", 8}, {"STOR", 8 + 4 + 64}, {"WKLD", -24}};
-    for (const auto &[tag, offset] : cases) {
+    // The guarded workload_image value is the image's content hash in
+    // 16 hex digits, after the key and the value's u64 length. Change
+    // its first digit and re-checksum CFG!: a checkpoint of another
+    // image.
+    std::string other = bytes;
+    const std::size_t key = other.find("workload_image");
+    ASSERT_NE(key, std::string::npos);
+    const std::size_t digit = key + std::strlen("workload_image") + 8;
+    other[digit] = other[digit] == '0' ? '1' : '0';
+    reseal(other, "CFG!");
+    {
         Simulator victim(cfg);
         ASSERT_EQ(&victim.workloadImage(), &live.workloadImage());
-        std::istringstream is(corruptSection(bytes, tag, offset));
+        std::istringstream is(other);
         try {
             victim.restoreCheckpoint(is);
-            ADD_FAILURE() << tag << " mismatch not detected";
+            ADD_FAILURE() << "workload image mismatch not detected";
         } catch (const snap::SnapshotError &e) {
             const std::string err = e.what();
-            EXPECT_NE(err.find(std::string("'") + tag + "'"),
-                      std::string::npos)
-                << err;
-            EXPECT_NE(err.find("workload image"), std::string::npos)
+            EXPECT_NE(err.find("'CFG!'"), std::string::npos) << err;
+            EXPECT_NE(err.find("workload_image"), std::string::npos)
                 << err;
         }
     }
@@ -285,7 +274,67 @@ TEST(WorkloadImage, CheckpointDisagreeingWithTheImageFailsNamingTheSection)
         fork.measure(measure);
         EXPECT_EQ(dumpStats(fork), expected);
     }
-    // ...and the live machine is unaffected by the refused restores.
+    // ...and the live machine is unaffected by the refused restore.
     live.measure(measure);
     EXPECT_EQ(dumpStats(live), expected);
+}
+
+TEST(WorkloadImage, ConcurrentRestoresIntoSharersMatch)
+{
+    // 4 runner threads restore one checkpoint at once into machines
+    // that share one image, each hashing it: all measure alike.
+    const SimConfig cfg = smallConfig("proE");
+    constexpr std::uint64_t warm = 20'000;
+    constexpr std::uint64_t measure = 20'000;
+
+    std::string bytes;
+    std::string expected;
+    {
+        Simulator ref(cfg);
+        bytes = warmCheckpoint(ref, warm);
+        ref.measure(measure);
+        expected = dumpStats(ref);
+    }
+
+    const auto image =
+        sharedWorkloadImage(cfg.workload, cfg.workloadSeed, cfg.physFrames);
+    constexpr unsigned threads = 4;
+    std::vector<std::string> dumps(threads);
+    std::vector<const WorkloadImage *> images(threads);
+    std::vector<std::exception_ptr> errors(threads);
+    std::barrier built(threads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            std::unique_ptr<Simulator> sim;
+            try {
+                sim = std::make_unique<Simulator>(cfg);
+                images[t] = &sim->workloadImage();
+            } catch (...) {
+                errors[t] = std::current_exception();
+            }
+            built.arrive_and_wait();
+            if (!sim)
+                return;
+            try {
+                std::istringstream is(bytes);
+                sim->restoreCheckpoint(is);
+                sim->measure(measure);
+                dumps[t] = dumpStats(*sim);
+            } catch (...) {
+                errors[t] = std::current_exception();
+            }
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (const std::exception_ptr &e : errors) {
+        if (e)
+            std::rethrow_exception(e);
+    }
+
+    for (unsigned t = 0; t < threads; ++t) {
+        EXPECT_EQ(images[t], image.get()) << "thread " << t;
+        EXPECT_EQ(dumps[t], expected) << "thread " << t;
+    }
 }

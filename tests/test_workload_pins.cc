@@ -5,8 +5,9 @@
  * For every workload of the suite (Table 2 plus the extras) at two
  * seeds, the test gets the workload image exactly as Simulator does
  * (the shared WorkloadImage) and pins two FNV-1a hashes:
- *  - the image: every materialized frame in physical-address order
- *    (each prefixed by its page number), then framesTouched();
+ *  - the image: BackingStore::contentHash(), every materialized frame
+ *    in physical-address order (each prefixed by its page number),
+ *    then framesTouched(); a checkpoint names its image by it;
  *  - the first 200k uops of the stream, field by field.
  * Two sources made over the one image must both give the uop pin,
  * and the image is hashed after they ran: sources only read it.
@@ -26,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/fnv1a.hh"
 #include "cpu/uop.hh"
 #include "mem/backing_store.hh"
 #include "sim/config.hh"
@@ -38,35 +40,6 @@ namespace
 {
 
 constexpr std::uint64_t pinnedUops = 200'000;
-
-/** 64-bit FNV-1a over an explicit sequence of integer fields. */
-class Fnv1a
-{
-  public:
-    void
-    bytes(const std::uint8_t *p, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    /** Mix @p v as @p n little-endian bytes. */
-    void
-    word(std::uint64_t v, unsigned n = 8)
-    {
-        for (unsigned i = 0; i < n; ++i) {
-            h ^= static_cast<std::uint8_t>(v >> (8 * i));
-            h *= 0x100000001b3ull;
-        }
-    }
-
-    std::uint64_t value() const { return h; }
-
-  private:
-    std::uint64_t h = 0xcbf29ce484222325ull;
-};
 
 struct Pin
 {
@@ -116,22 +89,6 @@ const Pin pins[] = {
 };
 
 std::uint64_t
-imageHash(const BackingStore &store)
-{
-    Fnv1a h;
-    constexpr Addr pages = Addr{1} << (32 - pageShift);
-    for (Addr page = 0; page < pages; ++page) {
-        if (const std::uint8_t *p =
-                store.pageDataIfPresent(page << pageShift)) {
-            h.word(page, 4);
-            h.bytes(p, pageBytes);
-        }
-    }
-    h.word(store.framesTouched());
-    return h.value();
-}
-
-std::uint64_t
 uopHash(UopSource &src)
 {
     Fnv1a h;
@@ -169,7 +126,7 @@ TEST_P(WorkloadPins, ImageAndUopStreamMatch)
     const std::unique_ptr<UopSource> second = img->makeSource();
     const std::uint64_t uops = uopHash(*first);
     EXPECT_EQ(uopHash(*second), uops) << "a second source over the image";
-    const std::uint64_t image = imageHash(img->backingStore());
+    const std::uint64_t image = img->backingStore().contentHash();
     char actual[160];
     std::snprintf(actual, sizeof actual,
                   "    {\"%s\", %llu, 0x%016llxull, 0x%016llxull},",

@@ -271,9 +271,17 @@ capture(const SimConfig &cfg, const std::string &path)
 int
 main(int argc, char **argv)
 {
+    // Usage follows argument errors only: after a runtime error
+    // (a refused checkpoint, say) it would bury the diagnostic.
+    Options opt;
     try {
-        Options opt = parse(argc, argv);
-
+        opt = parse(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "cdpsim: error: %s\n", e.what());
+        usage();
+        return 1;
+    }
+    try {
         if (!opt.capturePath.empty()) {
             SimConfig c = opt.cfg;
             c.workload = opt.workloads.front();
@@ -389,7 +397,6 @@ main(int argc, char **argv)
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "cdpsim: error: %s\n", e.what());
-        usage();
         return 1;
     }
 }
